@@ -17,7 +17,6 @@
 // stackless-vs-threaded speedup floor are all checked there.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -35,7 +34,6 @@ struct RunResult {
   std::string name;
   int nodes = 0;
   const char* driver = "";
-  int exec_threads = 1;
   std::int64_t packets = 0;
   std::uint64_t events = 0;
   double wall_ms = 0;
@@ -71,24 +69,15 @@ void stackless_step(net::Machine& m, StacklessDrv* d, int nodes) {
 /// One full scenario: construct drivers, run to completion, report rates.
 /// The timed region includes driver setup — thread creation is part of what
 /// the thread-per-actor model costs at scale.
-RunResult run_scenario(int nodes, bool stackless, int exec_threads) {
+RunResult run_scenario(int nodes, bool stackless) {
   RunResult r;
   r.nodes = nodes;
   r.driver = stackless ? "stackless" : "threaded";
-  r.exec_threads = exec_threads;
-  r.name = std::string(r.driver) +
-           (exec_threads > 1 ? "_exec" + std::to_string(exec_threads) : "") +
-           "_" + std::to_string(nodes);
+  r.name = std::string(r.driver) + "_" + std::to_string(nodes);
 
-  // The engine reads SPLAP_EXEC_THREADS at construction; Machine owns the
-  // engine, so the knob goes through the environment for this scenario only.
-  if (exec_threads > 1) {
-    setenv("SPLAP_EXEC_THREADS", std::to_string(exec_threads).c_str(), 1);
-  }
   net::Machine::Config mc;
   mc.tasks = nodes;
   net::Machine m(mc);
-  if (exec_threads > 1) unsetenv("SPLAP_EXEC_THREADS");
 
   std::int64_t delivered = 0;
   for (int i = 0; i < nodes; ++i) {
@@ -139,7 +128,7 @@ bool write_json(const std::string& path, const std::vector<RunResult>& runs,
                 double speedup_1024) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
-  std::fprintf(f, "{\n  \"schema\": \"splap-scale-v1\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"splap-scale-v2\",\n");
   std::fprintf(f, "  \"binary\": \"bench_scale\",\n");
   std::fprintf(f, "  \"packets_per_node\": %d,\n", kPacketsPerNode);
   std::fprintf(f, "  \"runs\": [\n");
@@ -147,11 +136,11 @@ bool write_json(const std::string& path, const std::vector<RunResult>& runs,
     const RunResult& r = runs[i];
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"nodes\": %d, \"driver\": \"%s\", "
-                 "\"exec_threads\": %d, \"packets\": %lld, "
+                 "\"packets\": %lld, "
                  "\"events\": %llu, \"wall_ms\": %.3f, "
                  "\"events_per_second\": %.1f, "
                  "\"packets_per_second\": %.1f}%s\n",
-                 r.name.c_str(), r.nodes, r.driver, r.exec_threads,
+                 r.name.c_str(), r.nodes, r.driver,
                  static_cast<long long>(r.packets),
                  static_cast<unsigned long long>(r.events), r.wall_ms,
                  r.events_per_second, r.packets_per_second,
@@ -176,7 +165,7 @@ int main(int argc, char** argv) {
   double stackless_1024 = 0;
   for (const int nodes : {64, 256, 1024}) {
     for (const bool stackless : {false, true}) {
-      RunResult r = run_scenario(nodes, stackless, /*exec_threads=*/1);
+      RunResult r = run_scenario(nodes, stackless);
       std::printf("%-20s %5d nodes  %8.1f ms  %12.0f events/s  %12.0f pkts/s\n",
                   r.name.c_str(), r.nodes, r.wall_ms, r.events_per_second,
                   r.packets_per_second);
@@ -186,18 +175,6 @@ int main(int argc, char** argv) {
       runs.push_back(std::move(r));
     }
   }
-  // Functional demonstration of the lookahead-parallel lanes on the largest
-  // scenario (on a single hardware thread this adds coordination cost; the
-  // run is here so the knob's wall-clock trajectory is tracked on real SMP
-  // hosts too).
-  {
-    RunResult r = run_scenario(1024, /*stackless=*/true, /*exec_threads=*/4);
-    std::printf("%-20s %5d nodes  %8.1f ms  %12.0f events/s  %12.0f pkts/s\n",
-                r.name.c_str(), r.nodes, r.wall_ms, r.events_per_second,
-                r.packets_per_second);
-    runs.push_back(std::move(r));
-  }
-
   const double speedup = stackless_1024 / threaded_1024;
   std::printf("1024-node stackless vs threaded packet throughput: %.1fx\n",
               speedup);

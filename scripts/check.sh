@@ -2,6 +2,9 @@
 # Full local gate, in escalating order of what each stage can catch:
 #
 #   optimized  build + full ctest (the tier-1 contract)
+#   pinned     the optimized ctest again under `taskset -c 0`: tier-1 must
+#              stay green when the process may use only one CPU (skipped
+#              with a notice when the host has no taskset)
 #   lint       splap-lint determinism rules over src/ and tests/, plus the
 #              rule-by-rule fixture self-tests
 #   graph      splap-graph call-graph/include-graph proofs over src/:
@@ -22,9 +25,9 @@
 #              crashed node's teardown must leak zero records and credits
 #              beyond the forgiven crashed-epoch residue
 #   scale      the engine scale-out harness (tests labelled `scale`): the
-#              1024-node smoke and the serial-vs-SPLAP_EXEC_THREADS=4
-#              determinism comparisons, run optimized, under ASan+UBSan, and
-#              under SPLAP_AUDIT with the worker lanes forced on
+#              1024-node smoke, the stackless completion pool and the
+#              spawn-exhaustion regression, run optimized, under ASan+UBSan,
+#              and under SPLAP_AUDIT
 #   partition  the partition / gray-failure harness (tests labelled
 #              `partition`): asymmetric blackholes, split/merge of partition
 #              groups, stragglers under legacy-vs-accrual detection, the
@@ -36,9 +39,8 @@
 #              corruption, and the GA putv/getv wiring — run optimized,
 #              under ASan+UBSan, and under SPLAP_AUDIT
 #   tsan       ThreadSanitizer over the genuinely-concurrent code: the actor
-#              park/unpark handoff (sim_engine_test), the parallel sweep
-#              driver (bench_fig2_bandwidth with SPLAP_SWEEP_THREADS=4), and
-#              the worker-lane determinism tests (scale_test)
+#              park/unpark handoff (sim_engine_test) and the parallel sweep
+#              driver (bench_fig2_bandwidth with SPLAP_SWEEP_THREADS=4)
 #   audit      SPLAP_AUDIT build + full ctest: shadow-state lifecycle and
 #              virtual-time race auditing across every suite, chaos included
 #
@@ -56,11 +58,46 @@ want() {
   esac
 }
 
+# build_regime <optimized|asan|audit>: configure and build that
+# instrumentation regime's tree; BUILD_DIR names the tree afterwards.
+build_regime() {
+  case "$1" in
+    optimized) BUILD_DIR=build; set -- ;;
+    asan) BUILD_DIR=build-asan; set -- -DSPLAP_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug ;;
+    audit) BUILD_DIR=build-audit; set -- -DSPLAP_AUDIT=ON ;;
+  esac
+  cmake -B "${BUILD_DIR}" -S . "$@" >/dev/null
+  cmake --build "${BUILD_DIR}" -j"$(nproc)"
+}
+
+# label_stage <label> <regime>...: run the suites carrying ctest label
+# <label> under each listed regime in turn. --no-tests=error keeps the stage
+# failing loudly if the label set ever becomes empty.
+label_stage() {
+  local label=$1 regime
+  shift
+  for regime in "$@"; do
+    echo "== ${label} harness (${regime}) =="
+    build_regime "${regime}"
+    ctest --test-dir "${BUILD_DIR}" -L "${label}" --no-tests=error \
+      --output-on-failure
+  done
+}
+
 if want optimized; then
   echo "== optimized build =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j"$(nproc)"
+  build_regime optimized
   ctest --test-dir build --output-on-failure
+fi
+
+if want pinned; then
+  echo "== optimized build, pinned to one CPU =="
+  if command -v taskset >/dev/null 2>&1; then
+    build_regime optimized
+    taskset -c 0 ctest --test-dir build --output-on-failure
+  else
+    echo "SKIP: taskset not installed on this host"
+  fi
 fi
 
 if want lint; then
@@ -92,136 +129,36 @@ fi
 
 if want asan; then
   echo "== sanitized build (ASan+UBSan) =="
-  cmake -B build-asan -S . -DSPLAP_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug >/dev/null
-  cmake --build build-asan -j"$(nproc)"
+  build_regime asan
   ctest --test-dir build-asan --output-on-failure
 fi
 
-if want chaos; then
-  # An explicit sanitized pass over the chaos label even though the full
-  # ctest run above already includes it (this stage keeps failing loudly if
-  # the chaos label set ever becomes empty).
-  echo "== chaos harness (ASan+UBSan) =="
-  cmake -B build-asan -S . -DSPLAP_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug >/dev/null
-  cmake --build build-asan -j"$(nproc)"
-  ctest --test-dir build-asan -L chaos --no-tests=error --output-on-failure
-fi
-
-if want overload; then
-  # Overload scenarios drive the credit/NACK recovery machinery through its
-  # worst cases (drops of recovery traffic included), so they run under both
-  # the memory sanitizers and the shadow-state auditor: a leaked credit or a
-  # send record touched after reclamation fails here first.
-  echo "== overload harness (ASan+UBSan) =="
-  cmake -B build-asan -S . -DSPLAP_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug >/dev/null
-  cmake --build build-asan -j"$(nproc)"
-  ctest --test-dir build-asan -L overload --no-tests=error --output-on-failure
-  echo "== overload harness (SPLAP_AUDIT) =="
-  cmake -B build-audit -S . -DSPLAP_AUDIT=ON >/dev/null
-  cmake --build build-audit -j"$(nproc)"
-  ctest --test-dir build-audit -L overload --no-tests=error --output-on-failure
-fi
-
-if want recovery; then
-  # Crash-stop recovery scenarios tear contexts down mid-flight, the exact
-  # window where a stale timer or straggler ack can touch a reclaimed
-  # record. The suite runs optimized first (the behavioural contract:
-  # bounded detection, epoch rejection, full lease reclamation), then under
-  # the memory sanitizers, then under SPLAP_AUDIT whose teardown ledger
-  # forgives only the crashed incarnation's own residue.
-  echo "== recovery harness (optimized) =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j"$(nproc)"
-  ctest --test-dir build -L recovery --no-tests=error --output-on-failure
-  echo "== recovery harness (ASan+UBSan) =="
-  cmake -B build-asan -S . -DSPLAP_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug >/dev/null
-  cmake --build build-asan -j"$(nproc)"
-  ctest --test-dir build-asan -L recovery --no-tests=error --output-on-failure
-  echo "== recovery harness (SPLAP_AUDIT) =="
-  cmake -B build-audit -S . -DSPLAP_AUDIT=ON >/dev/null
-  cmake --build build-audit -j"$(nproc)"
-  ctest --test-dir build-audit -L recovery --no-tests=error --output-on-failure
-fi
-
-if want scale; then
-  # The engine scale-out machinery end to end: the 1024-node smoke and the
-  # serial-vs-parallel determinism comparisons run optimized, then under
-  # ASan+UBSan, then under the SPLAP_AUDIT race/lifecycle auditor with the
-  # worker lanes forced on for every suite that tolerates it (the audit
-  # tracker serializes its own bookkeeping, so lane races surface as
-  # ordering violations rather than silent corruption).
-  echo "== scale harness (optimized) =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j"$(nproc)"
-  ctest --test-dir build -L scale --no-tests=error --output-on-failure
-  echo "== scale harness (ASan+UBSan) =="
-  cmake -B build-asan -S . -DSPLAP_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug >/dev/null
-  cmake --build build-asan -j"$(nproc)"
-  ctest --test-dir build-asan -L scale --no-tests=error --output-on-failure
-  echo "== scale harness (SPLAP_AUDIT, SPLAP_EXEC_THREADS=4) =="
-  cmake -B build-audit -S . -DSPLAP_AUDIT=ON >/dev/null
-  cmake --build build-audit -j"$(nproc)"
-  ctest --test-dir build-audit -L scale --no-tests=error --output-on-failure
-  SPLAP_EXEC_THREADS=4 ./build-audit/tests/scale_test \
-    --gtest_filter='*FabricBurst*:*LapiRing*'
-fi
-
-if want partition; then
-  # Partition windows stress the retry ladder, the quarantine queue and the
-  # suspect/heal transitions — the states most likely to leak a credit lease
-  # or revive a reclaimed send record. Optimized first (the behavioural
-  # contract: heal inside the ladder, no split-brain, straggler survival),
-  # then the memory sanitizers, then the SPLAP_AUDIT lifecycle ledger.
-  echo "== partition harness (optimized) =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j"$(nproc)"
-  ctest --test-dir build -L partition --no-tests=error --output-on-failure
-  echo "== partition harness (ASan+UBSan) =="
-  cmake -B build-asan -S . -DSPLAP_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug >/dev/null
-  cmake --build build-asan -j"$(nproc)"
-  ctest --test-dir build-asan -L partition --no-tests=error --output-on-failure
-  echo "== partition harness (SPLAP_AUDIT) =="
-  cmake -B build-audit -S . -DSPLAP_AUDIT=ON >/dev/null
-  cmake --build build-audit -j"$(nproc)"
-  ctest --test-dir build-audit -L partition --no-tests=error --output-on-failure
-fi
-
-if want rdma; then
-  # The zero-copy path off-by-default means the tier-1 golden suite never
-  # exercises it; this stage is where the rdma label earns its keep, in all
-  # three instrumentation regimes (a stale registration entry or a double
-  # scatter lands in ASan; a zero-copy packet replayed across an epoch bump
-  # lands in the audit ledger).
-  echo "== rdma harness (optimized) =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j"$(nproc)"
-  ctest --test-dir build -L rdma --no-tests=error --output-on-failure
-  echo "== rdma harness (ASan+UBSan) =="
-  cmake -B build-asan -S . -DSPLAP_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug >/dev/null
-  cmake --build build-asan -j"$(nproc)"
-  ctest --test-dir build-asan -L rdma --no-tests=error --output-on-failure
-  echo "== rdma harness (SPLAP_AUDIT) =="
-  cmake -B build-audit -S . -DSPLAP_AUDIT=ON >/dev/null
-  cmake --build build-audit -j"$(nproc)"
-  ctest --test-dir build-audit -L rdma --no-tests=error --output-on-failure
-fi
+# The fault harness touches freed records and stale buffers first, so it
+# gets an explicit sanitized pass even though the asan stage includes it.
+want chaos && label_stage chaos asan
+# Overload drives credit/NACK recovery through its worst cases: a leaked
+# credit or a send record touched after reclamation fails here first.
+want overload && label_stage overload asan audit
+# Crash-stop, scale-out, partition and zero-copy suites: the behavioural
+# contract optimized first, then the memory sanitizers, then the
+# SPLAP_AUDIT lifecycle ledger (which forgives only a crashed incarnation's
+# own residue).
+want recovery && label_stage recovery optimized asan audit
+want scale && label_stage scale optimized asan audit
+want partition && label_stage partition optimized asan audit
+want rdma && label_stage rdma optimized asan audit
 
 if want tsan; then
   echo "== thread-sanitized build (TSan) =="
   cmake -B build-tsan -S . -DSPLAP_SANITIZE=thread -DCMAKE_BUILD_TYPE=Debug >/dev/null
-  cmake --build build-tsan -j"$(nproc)" --target sim_engine_test bench_fig2_bandwidth scale_test
+  cmake --build build-tsan -j"$(nproc)" --target sim_engine_test bench_fig2_bandwidth
   ./build-tsan/tests/sim_engine_test
   SPLAP_SWEEP_THREADS=4 ./build-tsan/bench/bench_fig2_bandwidth
-  # The lookahead-parallel lanes under TSan: the determinism tests run the
-  # same workload serial and with SPLAP_EXEC_THREADS=4, so any unsynchronized
-  # cross-lane access in the engine, fabric or LAPI stack reports here.
-  ./build-tsan/tests/scale_test --gtest_filter='*FabricBurst*:*LapiRing*'
 fi
 
 if want audit; then
   echo "== audit build (SPLAP_AUDIT) =="
-  cmake -B build-audit -S . -DSPLAP_AUDIT=ON >/dev/null
-  cmake --build build-audit -j"$(nproc)"
+  build_regime audit
   ctest --test-dir build-audit --output-on-failure
 fi
 

@@ -88,9 +88,9 @@ done
 
 echo "-- scale schema"
 "$BUILD_DIR"/bench/bench_scale --json_out="$TMP/BENCH_scale.json" > /dev/null
-grep -q '"schema": "splap-scale-v1"' "$TMP/BENCH_scale.json"
+grep -q '"schema": "splap-scale-v2"' "$TMP/BENCH_scale.json"
 for name in threaded_64 stackless_64 threaded_256 stackless_256 \
-            threaded_1024 stackless_1024 stackless_exec4_1024; do
+            threaded_1024 stackless_1024; do
   grep -q "\"name\": \"$name\"" "$TMP/BENCH_scale.json" \
     || { echo "missing run $name in BENCH_scale.json"; exit 1; }
 done

@@ -184,39 +184,7 @@ class SlabBufferPool {
     std::uint32_t zeroed;
   };
 
-  /// Opt into internal locking: acquire/release become safe to call from the
-  /// parallel window executor's worker lanes. Off by default — the serial
-  /// engine guarantees exclusive access and pays nothing.
-  void set_locked(bool on) { locked_ = on; }
-
   Buffer acquire() {
-    if (locked_) {
-      std::lock_guard<std::mutex> lock(mu_);
-      return acquire_impl();
-    }
-    return acquire_impl();
-  }
-
-  /// `zeroed` is the caller's guarantee about the returned buffer's prefix;
-  /// pass 0 when unsure — correctness never depends on it, only fill cost.
-  void release(std::byte* b, std::uint32_t zeroed = 0) {
-    SPLAP_REQUIRE(b != nullptr, "releasing a null buffer");
-    if (locked_) {
-      std::lock_guard<std::mutex> lock(mu_);
-      release_impl(b, zeroed);
-      return;
-    }
-    release_impl(b, zeroed);
-  }
-
-  std::size_t buffer_bytes() const { return buffer_bytes_; }
-  /// Buffers allocated so far (monotone; constant once steady state hit).
-  std::size_t capacity() const { return total_; }
-  std::size_t in_use() const { return total_ - free_.size(); }
-  std::size_t high_water() const { return high_water_; }
-
- private:
-  Buffer acquire_impl() {
     if (free_.empty()) grow();
     Buffer b = free_.back();
     free_.pop_back();
@@ -227,13 +195,23 @@ class SlabBufferPool {
     return b;
   }
 
-  void release_impl(std::byte* b, std::uint32_t zeroed) {
+  /// `zeroed` is the caller's guarantee about the returned buffer's prefix;
+  /// pass 0 when unsure — correctness never depends on it, only fill cost.
+  void release(std::byte* b, std::uint32_t zeroed = 0) {
+    SPLAP_REQUIRE(b != nullptr, "releasing a null buffer");
 #ifdef SPLAP_AUDIT
     audit_live_.remove(b, "SlabBufferPool::release");
 #endif
     free_.push_back(Buffer{b, zeroed});
   }
 
+  std::size_t buffer_bytes() const { return buffer_bytes_; }
+  /// Buffers allocated so far (monotone; constant once steady state hit).
+  std::size_t capacity() const { return total_; }
+  std::size_t in_use() const { return total_ - free_.size(); }
+  std::size_t high_water() const { return high_water_; }
+
+ private:
   void grow() {
     const std::size_t slab_bytes = buffer_bytes_ * buffers_per_slab_;
     std::unique_ptr<std::byte[]> slab =
@@ -261,8 +239,6 @@ class SlabBufferPool {
   std::vector<Buffer> free_;
   std::size_t total_ = 0;
   std::size_t high_water_ = 0;
-  bool locked_ = false;
-  std::mutex mu_;
 #ifdef SPLAP_AUDIT
   audit::LiveSet audit_live_{"SlabBufferPool live-buffer"};
 #endif
@@ -283,26 +259,23 @@ class ObjectPool {
   ObjectPool(const ObjectPool&) = delete;
   ObjectPool& operator=(const ObjectPool&) = delete;
 
-  /// Opt into internal locking for the parallel window executor's worker
-  /// lanes. Off by default: serial callers pay one predicted branch.
-  void set_locked(bool on) { locked_ = on; }
-
   T* acquire() {
-    if (locked_) {
-      std::lock_guard<std::mutex> lock(mu_);
-      return acquire_impl();
-    }
-    return acquire_impl();
+    if (free_.empty()) grow();
+    T* p = free_.back();
+    free_.pop_back();
+    if (total_ - free_.size() > high_water_) high_water_ = total_ - free_.size();
+#ifdef SPLAP_AUDIT
+    audit_live_.insert(p, "ObjectPool::acquire");
+#endif
+    return p;
   }
 
   void release(T* p) {
     SPLAP_REQUIRE(p != nullptr, "releasing a null object");
-    if (locked_) {
-      std::lock_guard<std::mutex> lock(mu_);
-      release_impl(p);
-      return;
-    }
-    release_impl(p);
+#ifdef SPLAP_AUDIT
+    audit_live_.remove(p, "ObjectPool::release");
+#endif
+    free_.push_back(p);
   }
 
   std::size_t capacity() const { return total_; }
@@ -319,24 +292,6 @@ class ObjectPool {
 #endif
 
  private:
-  T* acquire_impl() {
-    if (free_.empty()) grow();
-    T* p = free_.back();
-    free_.pop_back();
-    if (total_ - free_.size() > high_water_) high_water_ = total_ - free_.size();
-#ifdef SPLAP_AUDIT
-    audit_live_.insert(p, "ObjectPool::acquire");
-#endif
-    return p;
-  }
-
-  void release_impl(T* p) {
-#ifdef SPLAP_AUDIT
-    audit_live_.remove(p, "ObjectPool::release");
-#endif
-    free_.push_back(p);
-  }
-
   void grow() {
     // Default-init, not value-init: T's constructor still runs, but padding
     // and any trailing uninitialized members are not zero-filled first. For
@@ -353,8 +308,6 @@ class ObjectPool {
   std::vector<T*> free_;
   std::size_t total_ = 0;
   std::size_t high_water_ = 0;
-  bool locked_ = false;
-  std::mutex mu_;
 #ifdef SPLAP_AUDIT
   audit::LiveSet audit_live_{"ObjectPool live-object"};
 #endif

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -46,54 +45,25 @@ class RunningStat {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Which of a counter's per-thread cells this thread bumps into. 0 is the
-/// serial engine/actor context (those never run concurrently: the engine's
-/// control-token handoff serializes them); the parallel window executor
-/// assigns each worker lane its own stripe before running events.
-inline thread_local int tls_counter_stripe = 0;
-
 /// Named monotonically increasing counter set, used to assert protocol-level
 /// properties in tests ("exactly one copy on this path", "N retransmits").
-///
-/// Two concerns shape the layout:
-///   - per-packet paths must not pay a name lookup per bump, so hot callers
-///     resolve a Handle once at construction and bump through it;
-///   - worker lanes of the parallel window executor bump concurrently, so
-///     each counter holds one cache-line-padded cell per stripe and readers
-///     sum the stripes (reads happen on the engine thread after the window
-///     join, which supplies the happens-before edge).
+/// Per-packet paths must not pay a name lookup per bump, so hot callers
+/// resolve a Handle once at construction and bump through it.
 class CounterSet {
-  struct alignas(64) Cell {
+  struct Entry {
+    std::string name;
     std::int64_t v = 0;
   };
 
  public:
-  // One stripe for the serial engine/actor context plus one per worker lane
-  // (the executor caps its lane count at kStripes - 1).
-  static constexpr int kStripes = 9;
-
- private:
-  struct Entry {
-    std::string name;
-    Cell cells[kStripes];
-    std::int64_t sum() const {
-      std::int64_t s = 0;
-      for (const auto& c : cells) s += c.v;
-      return s;
-    }
-  };
-
- public:
-  /// A resolved counter: bump() is one indexed add, no name lookup. Handles
-  /// stay valid for the CounterSet's lifetime (entries live in a deque and
-  /// never move); reset() zeroes values but keeps entries, so cached handles
+  /// A resolved counter: bump() is one add, no name lookup. Handles stay
+  /// valid for the CounterSet's lifetime (entries live in a deque and never
+  /// move); reset() zeroes values but keeps entries, so cached handles
   /// survive it.
   class Handle {
    public:
     Handle() = default;
-    void bump(std::int64_t by = 1) const {
-      e_->cells[tls_counter_stripe].v += by;
-    }
+    void bump(std::int64_t by = 1) const { e_->v += by; }
 
    private:
     friend class CounterSet;
@@ -101,18 +71,14 @@ class CounterSet {
     Entry* e_ = nullptr;
   };
 
-  /// Serialize name resolution (handle creation scans and may grow the entry
-  /// deque). Flipped on by Engine::set_exec_threads; bumps through cached
-  /// Handles stay lock-free either way.
-  void set_locked(bool on) { locked_ = on; }
-
   /// Find-or-create the named counter and return its stable handle.
   Handle handle(std::string_view name) {
-    if (locked_) {
-      std::lock_guard<std::mutex> lk(mu_);
-      return handle_impl(name);
+    for (auto& e : entries_) {
+      if (e.name == name) return Handle(&e);
     }
-    return handle_impl(name);
+    entries_.emplace_back();
+    entries_.back().name = std::string(name);
+    return Handle(&entries_.back());
   }
 
   // string_view keys: callers bump with string literals, and a std::string
@@ -125,7 +91,7 @@ class CounterSet {
 
   std::int64_t get(std::string_view name) const {
     for (const auto& e : entries_) {
-      if (e.name == name) return e.sum();
+      if (e.name == name) return e.v;
     }
     return 0;
   }
@@ -137,32 +103,18 @@ class CounterSet {
     std::vector<std::pair<std::string, std::int64_t>> out;
     out.reserve(entries_.size());
     for (const auto& e : entries_) {
-      const std::int64_t s = e.sum();
-      if (s != 0) out.emplace_back(e.name, s);
+      if (e.v != 0) out.emplace_back(e.name, e.v);
     }
     return out;
   }
 
   void reset() {
-    for (auto& e : entries_) {
-      for (auto& c : e.cells) c.v = 0;
-    }
+    for (auto& e : entries_) e.v = 0;
   }
 
  private:
-  Handle handle_impl(std::string_view name) {
-    for (auto& e : entries_) {
-      if (e.name == name) return Handle(&e);
-    }
-    entries_.emplace_back();
-    entries_.back().name = std::string(name);
-    return Handle(&entries_.back());
-  }
-
   // deque: entry addresses (and therefore Handles) survive growth.
   std::deque<Entry> entries_;
-  bool locked_ = false;
-  std::mutex mu_;
 };
 
 }  // namespace splap

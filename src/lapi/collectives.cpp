@@ -64,9 +64,9 @@ struct Context::Universe {
     return *u;
   }
 
-  // attach/detach run on task threads that may execute concurrently under
-  // the worker lanes, so the shared registry state (the attached count and
-  // the ctxs slots) is guarded by the same out-of-band bootstrap mutex.
+  // detach may erase this machine's entry from the process-wide registry,
+  // which machines on other threads (SPLAP_SWEEP_THREADS) share, so attach
+  // and detach take the same out-of-band bootstrap mutex as of().
   void attach(Context* c) {
     // splap-lint: allow(os-sync): bootstrap registry access, trace-neutral
     std::lock_guard<std::mutex> lock(mu());
@@ -179,10 +179,7 @@ void Context::broadcast_peer_death(int peer, bool direct) {
   // The out-of-band membership channel (PSSP group services on the real SP):
   // a detected node death is announced to every attached context directly
   // through the Universe registry, not over the wire — exactly how the SP's
-  // switch fault daemon fanned out membership changes. Like address_init,
-  // this mutates sibling contexts across node shards, which the
-  // lookahead-parallel lanes cannot order.
-  engine().mark_parallel_unsafe("peer-death gossip crosses node shards");
+  // switch fault daemon fanned out membership changes.
   Universe& u = universe();
   for (Context* c : u.ctxs) {
     if (c != nullptr && c != this) c->note_peer_death(peer, direct, task_id());
@@ -198,10 +195,7 @@ void Context::address_init(void* mine, std::span<void*> table) {
   a->compute(call_entry_cost());
   // The Universe slot is out-of-band shared memory (the PSSP job-start
   // channel, not simulated traffic): the last arriver mutates every peer's
-  // wait set directly, across shards, which the lookahead-parallel lanes
-  // cannot order. Drop to serial execution for the rest of the run.
-  engine().mark_parallel_unsafe(
-      "LAPI_Address_init out-of-band rendezvous crosses node shards");
+  // wait set directly.
   Universe& u = universe();
   const auto k = static_cast<std::size_t>(xchg_seq_++);
   if (u.slots.size() <= k) u.slots.resize(k + 1);

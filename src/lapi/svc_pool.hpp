@@ -85,11 +85,11 @@ class SvcPool {
   void schedule_pump() {
     if (pump_scheduled_) return;
     pump_scheduled_ = true;
-    // Pin to the owning node's shard so parallel-window runs keep
-    // completion effects on the same lane as the rest of the node's
-    // protocol work. `this` is safe: stop() drains the pump before the
-    // owning context tears the pool down, and an engine shutdown sweeps
-    // unrun events without invoking them.
+    // Pin to the owning node's shard so whatever the completions schedule
+    // inherits the node, like the rest of its protocol work. `this` is
+    // safe: stop() drains the pump before the owning context tears the pool
+    // down, and an engine shutdown sweeps unrun events without invoking
+    // them.
     engine_.schedule_at_on(engine_.now(), shard_, [this] {
       pump_scheduled_ = false;
       svc0_->run_inline([this](sim::Actor& self) {

@@ -23,10 +23,6 @@ Fabric::Fabric(sim::Engine& engine, int nodes, FabricConfig config)
       // here, so these must read config_, not the moved-from parameter.
       rng_(config_.seed),
       payload_pool_(static_cast<std::size_t>(config_.cost.packet_bytes), 256),
-      sent_(static_cast<std::size_t>(nodes), 0),
-      bytes_on_wire_(static_cast<std::size_t>(nodes), 0),
-      rx_overflows_(static_cast<std::size_t>(nodes), 0),
-      rx_overflow_bytes_(static_cast<std::size_t>(nodes), 0),
       wire_memo_bytes_(static_cast<std::size_t>(nodes), -1),
       wire_memo_time_(static_cast<std::size_t>(nodes), 0),
       ctr_rx_overflow_(engine.counters().handle("fabric.rx_overflow")) {
@@ -48,25 +44,6 @@ Fabric::Fabric(sim::Engine& engine, int nodes, FabricConfig config)
                     "node fault names a node the machine does not have");
       node_faults_.push_back(f);
     }
-  }
-  // The minimum cross-node latency any transmit can produce: departure pays
-  // adapter_tx before the wire, and every route adds at least route_latency
-  // (skew, jitter and fault penalties only ever add). This is the engine's
-  // conservative lookahead for parallel window formation.
-  engine_.offer_lookahead(config_.cost.adapter_tx + config_.cost.route_latency);
-  // Drop/jitter/fault draws come from one global RNG whose consumption order
-  // IS the behavior; lanes cannot partition that, so such configurations run
-  // serially (which also lets their tallies stay scalar).
-  if (config_.drop_rate > 0 || config_.contention_jitter > 0 ||
-      config_.fault.any()) {
-    engine_.mark_parallel_unsafe(
-        "fabric drop/jitter/fault model draws from a global RNG");
-  }
-  if (engine_.exec_threads() > 1) {
-    // Lanes acquire payload buffers (make_packet on src) and release them on
-    // another lane (delivery on dst); same for in-flight records.
-    payload_pool_.set_locked(true);
-    inflight_pool_.set_locked(true);
   }
 }
 
@@ -148,15 +125,15 @@ void Fabric::transmit(Packet&& pkt) {
   SPLAP_REQUIRE(wire_bytes <= config_.cost.packet_bytes,
                 "packet exceeds the wire MTU");
   const CostModel& cm = config_.cost;
-  ++sent_[src];
+  ++packets_sent_;
 
   if (!node_faults_.empty()) [[unlikely]] {
     // Crash-stop: a dead endpoint loses the packet at the wire, whichever
     // side is down (a dying node's still-queued injections go nowhere, and
     // nothing reaches a dead receiver). The reliability layers see silence.
     if (!node_up(pkt.src, engine_.now()) || !node_up(pkt.dst, engine_.now())) {
-      ++fault_dropped_;
-      fault_bytes_dropped_ += wire_bytes;
+      ++packets_dropped_;
+      bytes_dropped_ += wire_bytes;
       engine_.counters().bump("fabric.node_down");
       SPLAP_DEBUG(engine_.now(), "fabric: node down, dropped packet %d->%d",
                   pkt.src, pkt.dst);
@@ -185,8 +162,8 @@ void Fabric::transmit(Packet&& pkt) {
       // The switch plane between src and dst is cut in this direction; the
       // reverse direction may well still deliver (asymmetric partition).
       // The reliability layers above see one-way silence.
-      ++fault_dropped_;
-      fault_bytes_dropped_ += wire_bytes;
+      ++packets_dropped_;
+      bytes_dropped_ += wire_bytes;
       engine_.counters().bump("fabric.partitioned");
       SPLAP_DEBUG(engine_.now(), "fabric: partitioned, dropped packet %d->%d",
                   pkt.src, pkt.dst);
@@ -220,8 +197,8 @@ void Fabric::transmit(Packet&& pkt) {
         ++tried;
       }
       if (tried == cm.routes_per_pair) {
-        ++fault_dropped_;
-        fault_bytes_dropped_ += wire_bytes;
+        ++packets_dropped_;
+        bytes_dropped_ += wire_bytes;
         engine_.counters().bump("fabric.no_route");
         SPLAP_DEBUG(engine_.now(), "fabric: no live route %d->%d", pkt.src,
                     pkt.dst);
@@ -256,8 +233,8 @@ void Fabric::transmit(Packet&& pkt) {
       }
     }
     if (dropped) {
-      ++fault_dropped_;
-      fault_bytes_dropped_ += wire_bytes;
+      ++packets_dropped_;
+      bytes_dropped_ += wire_bytes;
       engine_.counters().bump("fabric.drops");
       SPLAP_DEBUG(engine_.now(), "fabric: dropped packet %d->%d (%lld B)",
                   pkt.src, pkt.dst,
@@ -271,7 +248,7 @@ void Fabric::transmit(Packet&& pkt) {
         // as const) but carries its own payload buffer.
         ++packets_duplicated_;
         engine_.counters().bump("fabric.duplicated");
-        bytes_on_wire_[src] += wire_bytes;
+        bytes_on_wire_ += wire_bytes;
         Packet dup;
         dup.src = pkt.src;
         dup.dst = pkt.dst;
@@ -305,15 +282,15 @@ void Fabric::transmit(Packet&& pkt) {
       }
     }
   }
-  bytes_on_wire_[src] += wire_bytes;
+  bytes_on_wire_ += wire_bytes;
 
   // The drain DMA serializes packets in ARRIVAL order, so the rx_free
   // bookkeeping must run when the packet reaches the adapter, not when it
   // was sent — otherwise a late-sent packet that took a faster route could
   // never overtake (and the fabric would be spuriously in-order).
   // Pinned to the destination shard: from stage_rx onward everything touches
-  // dst-side state (rx queue, drain DMA, the node's handlers), which is what
-  // lets the parallel executor run receive processing on the dst's lane.
+  // dst-side state (rx queue, drain DMA, the node's handlers), so whatever
+  // the handlers schedule inherits the destination node.
   InFlight* rec = inflight_pool_.acquire();
   rec->owner = this;
   rec->pkt = std::move(pkt);
@@ -360,8 +337,9 @@ void Fabric::stage_rx(InFlight* rec) {
     // the drain DMA hands it to the node. A full queue drops the arrival
     // deterministically — the transport above recovers (NACK/retransmit).
     if (rx_count_[dst] >= config_.rx_queue_depth) {
-      ++rx_overflows_[dst];
-      rx_overflow_bytes_[dst] += rec->pkt.wire_bytes();
+      ++rx_overflows_;
+      ++packets_dropped_;
+      bytes_dropped_ += rec->pkt.wire_bytes();
       ctr_rx_overflow_.bump();
       SPLAP_DEBUG(engine_.now(), "fabric: RX overflow at node %d (%d queued)",
                   rec->pkt.dst, rx_count_[dst]);
@@ -385,8 +363,6 @@ void Fabric::stage_rx(InFlight* rec) {
   }
   const Time deliver_at = std::max(engine_.now(), rx_free_[dst]) + adapter_rx;
   rx_free_[dst] = deliver_at;
-  // Same-shard hop (adapter_rx < lookahead, so it stays inside the window
-  // and runs on this very lane in (time, seq) order).
   engine_.schedule_thunk_on(
       deliver_at, rec->pkt.dst,
       [](void* p) {

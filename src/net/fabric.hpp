@@ -113,21 +113,10 @@ class Fabric : public Delivery {
   // the sender did inject them); bytes_on_wire only bytes that reached the
   // destination adapter, with dropped bytes tallied separately so loss does
   // not inflate delivered-traffic accounting.
-  //
-  // Send-side tallies live per source and RX-overflow tallies per
-  // destination, because under the parallel window executor transmit() runs
-  // on the src node's lane and stage_rx() on the dst node's; the accessors
-  // sum (reads happen on the engine thread, after the window join).
-  // Fault-model tallies stay scalar: any fault configuration marks the
-  // engine parallel-unsafe, so those paths only ever run serially.
-  std::int64_t packets_sent() const { return sum(sent_); }
-  std::int64_t packets_dropped() const {
-    return fault_dropped_ + sum(rx_overflows_);
-  }
-  std::int64_t bytes_on_wire() const { return sum(bytes_on_wire_); }
-  std::int64_t bytes_dropped() const {
-    return fault_bytes_dropped_ + sum(rx_overflow_bytes_);
-  }
+  std::int64_t packets_sent() const { return packets_sent_; }
+  std::int64_t packets_dropped() const { return packets_dropped_; }
+  std::int64_t bytes_on_wire() const { return bytes_on_wire_; }
+  std::int64_t bytes_dropped() const { return bytes_dropped_; }
   /// Extra copies the fault model injected (each also counted in
   /// packets_sent-independent bytes_on_wire once it reaches the adapter).
   std::int64_t packets_duplicated() const { return packets_duplicated_; }
@@ -140,7 +129,7 @@ class Fabric : public Delivery {
   std::int64_t route_failovers() const { return route_failovers_; }
   /// Packets discarded because a node's bounded adapter RX queue was full
   /// (also counted in packets_dropped).
-  std::int64_t rx_overflows() const { return sum(rx_overflows_); }
+  std::int64_t rx_overflows() const { return rx_overflows_; }
   /// Peak adapter RX queue occupancy observed at `node` (0 when
   /// rx_queue_depth is 0: unbounded queues are not tracked).
   int rx_high_water(int node) const {
@@ -214,12 +203,6 @@ class Fabric : public Delivery {
 
   bool node_up_slow(int node, Time t) const;
 
-  static std::int64_t sum(const std::vector<std::int64_t>& v) {
-    std::int64_t s = 0;
-    for (std::int64_t x : v) s += x;
-    return s;
-  }
-
   sim::Engine& engine_;
   FabricConfig config_;
   std::vector<Time> link_free_;  // per-src injection link
@@ -245,14 +228,11 @@ class Fabric : public Delivery {
   // record releases its packet's payload buffer back into the payload pool.
   SlabBufferPool payload_pool_;
   ObjectPool<InFlight> inflight_pool_{256};
-  std::vector<std::int64_t> sent_;           // per-src
-  std::vector<std::int64_t> bytes_on_wire_;  // per-src
-  std::vector<std::int64_t> rx_overflows_;       // per-dst
-  std::vector<std::int64_t> rx_overflow_bytes_;  // per-dst
-  // Fault-path tallies (drops, corruption, failover): scalar — faults force
-  // serial execution, see the ctor.
-  std::int64_t fault_dropped_ = 0;
-  std::int64_t fault_bytes_dropped_ = 0;
+  std::int64_t packets_sent_ = 0;
+  std::int64_t bytes_on_wire_ = 0;
+  std::int64_t packets_dropped_ = 0;  // fault-model drops + RX overflows
+  std::int64_t bytes_dropped_ = 0;
+  std::int64_t rx_overflows_ = 0;
   std::int64_t packets_duplicated_ = 0;
   std::int64_t packets_corrupted_ = 0;
   std::int64_t route_failovers_ = 0;

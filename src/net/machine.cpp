@@ -35,8 +35,7 @@ Machine::Machine(Config config)
 Status Machine::run_spmd(const std::function<void(Node&)>& body) {
   for (auto& node : nodes_) {
     Node* n = node.get();
-    // Pinned to the node's shard so the parallel executor may resume the
-    // task from that node's worker lane.
+    // Pinned to the node's shard so kill_node tears the task down with it.
     try {
       n->task_ = &engine_.spawn_on(n->id(), "task" + std::to_string(n->id()),
                                    [n, body](sim::Actor&) { body(*n); });
@@ -67,9 +66,6 @@ void Machine::kill_node(int node, Time t) {
   SPLAP_REQUIRE(t >= engine_.now(), "cannot crash a node in the virtual past");
   crash_planned_ = true;
   fabric_.add_node_fault(NodeFault{node, t, kNoTime});
-  // Crash windows are global mutable state the worker lanes cannot
-  // partition, and the kill event grants actors across the shard boundary.
-  engine_.mark_parallel_unsafe("crash-stop node fault window");
   engine_.schedule_at_on(t, sim::Engine::kNoShard,
                          [this, node] { engine_.kill_shard(node); });
 }

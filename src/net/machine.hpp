@@ -158,8 +158,7 @@ class Machine {
   /// Crash node `node` at virtual time `t` (>= now): at t the fabric stops
   /// carrying its traffic, in-flight deliveries to it are flushed, and every
   /// actor pinned to its shard is torn down (stacks unwind; RAII runs with
-  /// Actor::poisoned() set). Deterministic and repeatable per seed. Marks
-  /// the engine parallel-unsafe (crash windows are global mutable state).
+  /// Actor::poisoned() set). Deterministic and repeatable per seed.
   void kill_node(int node, Time t);
 
   /// Restart `node` at time `t` (> its crash): closes the fabric crash

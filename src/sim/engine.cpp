@@ -1,16 +1,18 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdlib>
 #include <system_error>
 #include <utility>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 namespace splap::sim {
 namespace {
 
 thread_local Actor* tls_current_actor = nullptr;
-thread_local ExecLane* tls_lane = nullptr;  // set while a lane runs events
 
 /// Thrown into a blocked actor when the engine is torn down, so its thread
 /// unwinds cleanly (RAII still runs). Never escapes thread_main.
@@ -26,12 +28,23 @@ int env_spin_override() {
   return v;
 }
 
+/// More than one CPU this process may run on. The affinity mask, not the
+/// machine's thread count: a process pinned to one CPU (taskset) would
+/// otherwise spin against a partner that cannot run until it yields.
 bool multi_hw() {
-  static const bool v = std::thread::hardware_concurrency() > 1;
+  static const bool v = [] {
+#if defined(__linux__)
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof set, &set) == 0) {
+      return CPU_COUNT(&set) > 1;
+    }
+#endif
+    return std::thread::hardware_concurrency() > 1;
+  }();
   return v;
 }
 
-/// Starting spin budget before yielding/parking. On a single hardware thread
+/// Starting spin budget before yielding/parking. With a single usable CPU
 /// spinning only delays the partner's timeslice, so the fast path goes
 /// straight to the yield loop.
 int initial_spin_budget() {
@@ -43,10 +56,6 @@ int initial_spin_budget() {
 constexpr int kSpinMax = 4096;
 constexpr int kYieldRounds = 2;
 
-/// Below this many events a window's rendezvous costs more than it saves;
-/// the popped prefix runs serially instead (identical order either way).
-constexpr std::size_t kMinWindow = 4;
-
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_ia32_pause();
@@ -56,223 +65,6 @@ inline void cpu_relax() {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Parallel window executor: lanes and rendezvous
-// ---------------------------------------------------------------------------
-
-/// One worker lane of the parallel window executor. A window assigns every
-/// event of shard s to lane s % nlanes, so all events touching one node's
-/// state run on one thread; the lane executes them in the exact serial
-/// (time, seq) order restricted to its shards, plus any same-shard children
-/// that land inside the window.
-struct ExecLane {
-  /// A pending lane-local event with its total order key. `ord` carries the
-  /// global seq for window events; children get kChildEpoch | counter, which
-  /// is numerically larger than any real seq, so one (t, ord) compare yields
-  /// the proof order (time, epoch, per-epoch index).
-  struct Slot {
-    Time t;
-    std::uint64_t ord;
-    Engine::EventNode* node;
-    std::int32_t child;  // index into children when this is an epoch-1 slot
-    bool before(const Slot& o) const {
-      return t != o.t ? t < o.t : ord < o.ord;
-    }
-  };
-
-  /// Every event scheduled during this window, in per-parent program order
-  /// (replay-merge re-walks these to assign the exact serial seqs).
-  struct Child {
-    Time t;
-    Engine::EventNode* node;
-    std::int32_t rec;  // index into recs when executed in-lane, else -1
-  };
-
-  /// One executed event. Window events know their seq up front; children
-  /// get theirs during replay-merge, when their parent's record pops.
-  struct Rec {
-    Time t = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t cb = 0, ce = 0;  // [cb, ce) into this lane's children
-    int lane = 0;
-    std::int32_t child = -1;  // which Child this was (-1: window event)
-    std::exception_ptr err;
-  };
-
-  static constexpr std::uint64_t kChildEpoch = std::uint64_t{1} << 63;
-
-  Engine* eng = nullptr;
-  int id = 0;
-  int stripe() const { return id + 1; }  // counter stripe (0 is serial)
-
-  std::vector<Slot> batch;  // window events, ascending (t, seq)
-  Time w_eff = 0;           // no lane-local execution at or beyond this time
-  std::vector<Slot> heap;   // min-heap of in-window same-shard children
-  std::vector<Child> children;
-  std::vector<Rec> recs;
-  Time vnow = 0;            // lane-local virtual clock (Engine::now routes here)
-  int cur_shard = Engine::kNoShard;
-  std::uint64_t child_ord = 0;
-#ifdef SPLAP_AUDIT
-  std::uint64_t cur_step = 0;
-#endif
-
-  static bool slot_after(const Slot& a, const Slot& b) { return b.before(a); }
-
-  void reset(Time weff) {
-    batch.clear();
-    heap.clear();
-    children.clear();
-    recs.clear();
-    w_eff = weff;
-    vnow = 0;
-    cur_shard = Engine::kNoShard;
-    child_ord = 0;
-  }
-
-  /// Record an event scheduled while this lane is executing. Same-shard
-  /// children inside the window run locally (serial would run them inside
-  /// the window too); everything else is deferred to replay-merge — which is
-  /// only sound when it lands at or beyond w_eff, hence the contract check.
-  void record_child(Time t, int shard, Engine::EventNode* n) {
-    SPLAP_REQUIRE(t >= vnow, "cannot schedule an event in the virtual past");
-    n->shard = shard == Engine::kInheritShard ? cur_shard : shard;
-#ifdef SPLAP_AUDIT
-    n->audit_cause = cur_step;
-#endif
-    const std::int32_t ci = static_cast<std::int32_t>(children.size());
-    children.push_back(Child{t, n, -1});
-    if (t < w_eff) {
-      SPLAP_REQUIRE(n->shard == cur_shard,
-                    "parallel window contract violated: an event scheduled a "
-                    "cross-shard or unsharded event closer than the offered "
-                    "lookahead");
-      heap.push_back(Slot{t, kChildEpoch | child_ord++, n, ci});
-      std::push_heap(heap.begin(), heap.end(), &slot_after);
-    }
-  }
-
-  /// Drain the window batch merged with in-window children in (t, ord)
-  /// order. Event exceptions are captured per record and surfaced by
-  /// replay-merge in serial position; this function itself does not throw.
-  void run_window() {
-    Engine& e = *eng;
-    std::size_t bi = 0;
-    for (;;) {
-      Slot s;
-      const bool have_batch = bi < batch.size();
-      if (have_batch && (heap.empty() || batch[bi].before(heap.front()))) {
-        s = batch[bi++];
-      } else if (!heap.empty()) {
-        std::pop_heap(heap.begin(), heap.end(), &slot_after);
-        s = heap.back();
-        heap.pop_back();
-      } else if (have_batch) {
-        s = batch[bi++];
-      } else {
-        break;
-      }
-      vnow = s.t;
-      cur_shard = s.node->shard;
-      const std::size_t ri = recs.size();
-      {
-        Rec r;
-        r.t = s.t;
-        r.seq = (s.ord & kChildEpoch) != 0 ? 0 : s.ord;
-        r.cb = r.ce = static_cast<std::uint32_t>(children.size());
-        r.lane = id;
-        r.child = s.child;
-        recs.push_back(std::move(r));
-      }
-      if (s.child >= 0) {
-        children[static_cast<std::size_t>(s.child)].rec =
-            static_cast<std::int32_t>(ri);
-      }
-      Engine::EventNode* n = s.node;
-#ifdef SPLAP_AUDIT
-      {
-        std::lock_guard<std::mutex> lk(e.audit_mu_);
-        cur_step = ++e.audit_step_;
-        e.audit_race_.on_dispatch(cur_step, n->audit_cause);
-      }
-#endif
-      try {
-        n->invoke(n->obj);
-      } catch (...) {
-        recs[ri].err = std::current_exception();
-      }
-      e.event_pool_.release(n);
-      recs[ri].ce = static_cast<std::uint32_t>(children.size());
-    }
-  }
-};
-
-/// Worker threads plus the per-window rendezvous. Lane 0 is always run
-/// inline by the engine thread (on a loaded machine that saves one wake/park
-/// round trip per window); lanes 1..n-1 each own a worker thread parked on
-/// the generation condvar between windows.
-struct ExecState {
-  Engine* eng;
-  std::vector<ExecLane> lanes;
-  std::vector<std::thread> workers;
-  std::mutex mu;
-  std::condition_variable cv;       // engine -> workers: new window / stop
-  std::condition_variable done_cv;  // workers -> engine: all lanes drained
-  std::uint64_t gen = 0;
-  int running = 0;
-  bool stopping = false;
-  std::vector<Engine::HeapSlot> window;   // reused window staging buffer
-  std::vector<ExecLane::Rec*> replay;     // reused replay-merge heap
-
-  ExecState(Engine* e, int nlanes) : eng(e) {
-    lanes.resize(static_cast<std::size_t>(nlanes));
-    for (int i = 0; i < nlanes; ++i) {
-      lanes[static_cast<std::size_t>(i)].eng = e;
-      lanes[static_cast<std::size_t>(i)].id = i;
-    }
-    workers.reserve(static_cast<std::size_t>(nlanes - 1));
-    for (int i = 1; i < nlanes; ++i) {
-      workers.emplace_back(
-          [this, i] { worker_main(lanes[static_cast<std::size_t>(i)]); });
-    }
-  }
-  ~ExecState() { stop(); }
-
-  void stop() {
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      stopping = true;
-    }
-    cv.notify_all();
-    for (auto& w : workers) {
-      if (w.joinable()) w.join();
-    }
-    workers.clear();
-  }
-
-  void worker_main(ExecLane& lane) {
-    tls_counter_stripe = lane.stripe();
-    std::uint64_t seen = 0;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lk(mu);
-        cv.wait(lk, [&] { return stopping || gen != seen; });
-        if (stopping) return;
-        seen = gen;
-      }
-      tls_lane = &lane;
-      lane.run_window();
-      tls_lane = nullptr;
-      bool last;
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        last = --running == 0;
-      }
-      if (last) done_cv.notify_one();
-    }
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Actor
@@ -354,7 +146,6 @@ void Actor::thread_main(std::function<void(Actor&)> body) {
   // Wait for the first grant; the engine owns the control token until then.
   park_until(kActorHasControl);
   tls_current_actor = this;
-  tls_counter_stripe = lane_ctx_ != nullptr ? lane_ctx_->stripe() : 0;
   block_reason_ = "running";
   if (!poisoned()) {
     try {
@@ -375,10 +166,6 @@ bool Actor::poisoned() const { return poisoned_; }
 
 void Actor::grant() {
   if (finished_) return;
-  // The dispatching context (serial loop or worker lane) stamps itself here
-  // before the handoff; the actor thread reads it after the acquire to route
-  // Engine::now()/schedule through the right lane and counter stripe.
-  lane_ctx_ = tls_lane;
   if (stackless_) {
     Actor* saved = tls_current_actor;
     tls_current_actor = this;
@@ -391,7 +178,6 @@ void Actor::grant() {
         slot = saved;
         self->block_reason_ = "finished";
         self->finished_ = true;
-        self->lane_ctx_ = nullptr;
       }
     } restore{tls_current_actor, saved, this};
     if (stackless_body_) {
@@ -407,7 +193,6 @@ void Actor::grant() {
       "grant() on an actor that is not descheduled");
   hand_to(kActorHasControl);
   park_until(kEngineHasControl);
-  lane_ctx_ = nullptr;
   if (failure_) {
     // Move, don't copy: exception_ptr copies touch an atomic refcount.
     std::exception_ptr f = std::move(failure_);
@@ -422,11 +207,6 @@ void Actor::run_inline(const std::function<void(Actor&)>& fn) {
                 "actors run their own body)");
   SPLAP_REQUIRE(!finished_, "run_inline on a finished actor");
   Actor* saved = tls_current_actor;
-  // Inherit the caller's lane so Engine::now()/schedule keep resolving
-  // lane-local time even when a granted actor calls into us.
-  lane_ctx_ = tls_lane != nullptr        ? tls_lane
-              : saved != nullptr         ? saved->lane_ctx_
-                                         : nullptr;
   tls_current_actor = this;
   const char* saved_reason = block_reason_;
   block_reason_ = "running";
@@ -438,7 +218,6 @@ void Actor::run_inline(const std::function<void(Actor&)>& fn) {
     ~Restore() {
       slot = saved;
       self->block_reason_ = reason;
-      self->lane_ctx_ = nullptr;
     }
   } restore{tls_current_actor, saved, this, saved_reason};
   fn(*this);
@@ -455,9 +234,6 @@ void Actor::suspend(const char* why) {
   block_reason_ = why;
   hand_to(kEngineHasControl);
   park_until(kActorHasControl);
-  // Re-read the granting context: we may have been resumed by a different
-  // lane (or the serial loop) than the one that suspended us.
-  tls_counter_stripe = lane_ctx_ != nullptr ? lane_ctx_->stripe() : 0;
   if (poisoned_) throw ActorKilled{};
   block_reason_ = "running";
 }
@@ -482,11 +258,9 @@ Engine::Engine() {
 #ifdef SPLAP_AUDIT
   audit_spare_.insert(&first_block_, "Engine ctor");
 #endif
-  init_exec_from_env();
 }
 
 Engine::~Engine() {
-  if (exec_ != nullptr) exec_->stop();
   shutdown();
   // Events still queued (failed run, deadlock) own callables; destroy them
   // before the pool slabs go away. Audit builds also hand the swept nodes
@@ -521,32 +295,13 @@ Engine::~Engine() {
 }
 
 #ifdef SPLAP_AUDIT
-void Engine::audit_object_begin(const void* obj) {
-  std::unique_lock<std::mutex> lk(audit_mu_, std::defer_lock);
-  if (exec_enabled_) lk.lock();
-  audit_race_.begin(obj);
-}
+void Engine::audit_object_begin(const void* obj) { audit_race_.begin(obj); }
 
-void Engine::audit_object_end(const void* obj) {
-  std::unique_lock<std::mutex> lk(audit_mu_, std::defer_lock);
-  if (exec_enabled_) lk.lock();
-  audit_race_.end(obj);
-}
+void Engine::audit_object_end(const void* obj) { audit_race_.end(obj); }
 
 void Engine::audit_object_touch(const void* obj, const char* where) {
   const Actor* a = Actor::current();
   const int actor_id = a != nullptr ? a->id() : -1;
-  if (exec_enabled_) {
-    const ExecLane* l = tls_lane;
-    if (l == nullptr && a != nullptr) l = a->lane_ctx_;
-    std::lock_guard<std::mutex> lk(audit_mu_);
-    if (l != nullptr) {
-      audit_race_.touch(obj, l->vnow, l->cur_step, actor_id, where);
-    } else {
-      audit_race_.touch(obj, now_, audit_step_, actor_id, where);
-    }
-    return;
-  }
   audit_race_.touch(obj, now_, audit_step_, actor_id, where);
 }
 #endif
@@ -598,10 +353,6 @@ void Engine::kill_shard(int shard) {
 }
 
 int Engine::context_shard() const {
-  if (exec_enabled_) {
-    const ExecLane* l = tls_lane;
-    if (l != nullptr) return l->cur_shard;
-  }
   const Actor* a = tls_current_actor;
   if (a != nullptr) return a->shard();
   return dispatch_shard_;
@@ -610,31 +361,24 @@ int Engine::context_shard() const {
 Actor& Engine::spawn_impl(int shard, std::string name,
                           std::function<void(Actor&)> body, bool stackless) {
   const bool has_body = static_cast<bool>(body);
-  Actor* p = nullptr;
-  {
-    // Lanes may spawn concurrently (service pools attached to different
-    // nodes); id assignment and the actors_ push must be atomic then.
-    std::unique_lock<std::mutex> lk(spawn_mu_, std::defer_lock);
-    if (exec_enabled_) lk.lock();
-    const int id = static_cast<int>(actors_.size());
-    std::unique_ptr<Actor> a;
-    if (stackless) {
-      a.reset(new Actor(*this, id, shard, std::move(name), std::move(body),
-                        Actor::StacklessTag{}));
-    } else {
-      try {
-        a.reset(new Actor(*this, id, shard, std::move(name), std::move(body)));
-      } catch (const std::system_error& e) {
-        throw SpawnError(std::string("cannot create a thread for actor #") +
-                         std::to_string(id) + ": " + e.what() +
-                         " — the OS refused another thread; reduce the node "
-                         "count or use stackless actors for non-blocking "
-                         "endpoints");
-      }
+  const int id = static_cast<int>(actors_.size());
+  std::unique_ptr<Actor> a;
+  if (stackless) {
+    a.reset(new Actor(*this, id, shard, std::move(name), std::move(body),
+                      Actor::StacklessTag{}));
+  } else {
+    try {
+      a.reset(new Actor(*this, id, shard, std::move(name), std::move(body)));
+    } catch (const std::system_error& e) {
+      throw SpawnError(std::string("cannot create a thread for actor #") +
+                       std::to_string(id) + ": " + e.what() +
+                       " — the OS refused another thread; reduce the node "
+                       "count or use stackless actors for non-blocking "
+                       "endpoints");
     }
-    p = a.get();
-    actors_.push_back(std::move(a));
   }
+  Actor* p = a.get();
+  actors_.push_back(std::move(a));
   // Stackless identity actors (null body) exist only as run_inline targets;
   // everything else gets its body started at the current time.
   if (!stackless || has_body) {
@@ -664,76 +408,15 @@ void Engine::wake(Actor& a) {
   if (a.finished_) return;
   if (a.wake_pending_) return;
   a.wake_pending_ = true;
-  // Pinned to the actor's shard: the wake grant must run on the lane that
-  // owns the actor's node, and only same-shard context may wake in-window.
+  // Pinned to the actor's shard: events the resumed actor schedules inherit
+  // the grant event's shard, so they stay attributed to the actor's node.
   schedule_at_on(now(), a.shard_, [&a] {
     a.wake_pending_ = false;
     a.grant();
   });
 }
 
-// --- parallel window executor ---------------------------------------------
-
-void Engine::init_exec_from_env() {
-  const char* s = std::getenv("SPLAP_EXEC_THREADS");
-  if (s == nullptr || *s == '\0') return;
-  const int n = std::atoi(s);
-  if (n > 1) set_exec_threads(n);
-}
-
-void Engine::set_exec_threads(int n) {
-  SPLAP_REQUIRE(!running_, "set_exec_threads may not be called mid-run");
-  if (n < 1) n = 1;
-  const int cap = CounterSet::kStripes - 1;
-  if (n > cap) n = cap;
-  if (exec_ != nullptr && n != static_cast<int>(exec_->lanes.size())) {
-    exec_->stop();
-    exec_.reset();
-  }
-  exec_threads_ = n;
-  exec_enabled_ = n > 1;
-  // Lanes and the actor threads they grant allocate event nodes
-  // concurrently; the pool serializes itself from here on. Transports lock
-  // their own pools at construction by checking exec_threads().
-  event_pool_.set_locked(exec_enabled_);
-  counters_.set_locked(exec_enabled_);  // name resolution may race otherwise
-}
-
-void Engine::mark_parallel_unsafe(const char* why) {
-  if (exec_enabled_ && !parallel_unsafe_) {
-    SPLAP_WARN(now_, "parallel window execution disabled: %s", why);
-  }
-  parallel_unsafe_ = true;
-}
-
-Time Engine::now_slow() const {
-  const ExecLane* l = tls_lane;
-  if (l == nullptr) {
-    const Actor* a = tls_current_actor;
-    if (a != nullptr) l = a->lane_ctx_;
-  }
-  return l != nullptr ? l->vnow : now_;
-}
-
-void Engine::commit_slow(Time t, int shard, EventNode* n) {
-  ExecLane* l = tls_lane;
-  if (l == nullptr) {
-    Actor* a = tls_current_actor;
-    if (a != nullptr) l = a->lane_ctx_;
-  }
-  if (l != nullptr) {
-    l->record_child(t, shard, n);
-    return;
-  }
-  SPLAP_REQUIRE(t >= now_, "cannot schedule an event in the virtual past");
-  n->shard = shard == kInheritShard ? dispatch_shard_ : shard;
-#ifdef SPLAP_AUDIT
-  n->audit_cause = audit_step_;
-#endif
-  queue_push(HeapSlot{t, next_seq_++, n});
-}
-
-void Engine::dispatch_serial(const HeapSlot& s) {
+void Engine::dispatch(const HeapSlot& s) {
   // Touch the NEXT event's node while this one executes: queued nodes
   // cycle through a pool region larger than L1, and the pointer chase is
   // otherwise on the critical path of every dispatch.
@@ -742,13 +425,7 @@ void Engine::dispatch_serial(const HeapSlot& s) {
   now_ = s.t;
   dispatch_shard_ = n->shard;
 #ifdef SPLAP_AUDIT
-  {
-    // Lanes are quiescent whenever the serial path runs, but audit state
-    // keeps one lock discipline once the executor exists.
-    std::unique_lock<std::mutex> lk(audit_mu_, std::defer_lock);
-    if (exec_enabled_) lk.lock();
-    audit_race_.on_dispatch(++audit_step_, n->audit_cause);
-  }
+  audit_race_.on_dispatch(++audit_step_, n->audit_cause);
 #endif
   // invoke destroys the callable on both paths, so the node goes straight
   // back to the pool; a free node's stale thunk pointers are never read
@@ -764,129 +441,11 @@ void Engine::dispatch_serial(const HeapSlot& s) {
   ++events_executed_;
 }
 
-bool Engine::try_parallel_window() {
-  const HeapSlot* front = queue_peek();
-  if (front == nullptr || front->node->shard == kNoShard) return false;
-  if (exec_ == nullptr) exec_ = std::make_unique<ExecState>(this, exec_threads_);
-  ExecState& x = *exec_;
-  const Time limit = front->t + lookahead_;
-  // Pop the maximal sharded prefix below the lookahead horizon. The first
-  // unsharded event acts as a barrier: it caps the effective window so no
-  // lane executes past it (its effects may touch any shard).
-  x.window.clear();
-  Time w_eff = limit;
-  while (const HeapSlot* g = queue_peek()) {
-    if (g->t >= limit) break;
-    if (g->node->shard == kNoShard) {
-      w_eff = g->t;
-      break;
-    }
-    x.window.push_back(queue_pop());
-  }
-  if (x.window.size() < kMinWindow) {
-    // Not worth the rendezvous; drain the popped prefix serially, in exactly
-    // the order the serial loop would have (it is the queue's min prefix).
-    std::size_t i = 0;
-    try {
-      for (; i < x.window.size(); ++i) dispatch_serial(x.window[i]);
-    } catch (...) {
-      for (std::size_t j = i + 1; j < x.window.size(); ++j) {
-        queue_push(x.window[j]);
-      }
-      throw;
-    }
-    return true;
-  }
-  const std::size_t nlanes = x.lanes.size();
-  for (auto& l : x.lanes) l.reset(w_eff);
-  for (const HeapSlot& s : x.window) {
-    ExecLane& l = x.lanes[static_cast<std::size_t>(s.node->shard) % nlanes];
-    l.batch.push_back(ExecLane::Slot{s.t, s.seq, s.node, -1});
-  }
-  {
-    std::lock_guard<std::mutex> lk(x.mu);
-    x.running = static_cast<int>(nlanes) - 1;
-    ++x.gen;
-  }
-  x.cv.notify_all();
-  // The engine thread runs lane 0 itself instead of parking: one fewer
-  // wake/park round trip per window, and on a single CPU the window then
-  // costs no context switch at all when the other lanes are empty.
-  ExecLane& l0 = x.lanes[0];
-  tls_lane = &l0;
-  tls_counter_stripe = l0.stripe();
-  l0.run_window();
-  tls_lane = nullptr;
-  tls_counter_stripe = 0;
-  if (nlanes > 1) {
-    std::unique_lock<std::mutex> lk(x.mu);
-    x.done_cv.wait(lk, [&x] { return x.running == 0; });
-  }
-  merge_window();
-  return true;
-}
-
-void Engine::merge_window() {
-  ExecState& x = *exec_;
-  // Replay the executed records in exact serial (t, seq) order and hand out
-  // seqs to their children in program order — precisely what the serial loop
-  // would have done. Window records seed the heap (their seqs are known); a
-  // child's record becomes reachable when its parent pops and names it.
-  auto cmp = [](const ExecLane::Rec* a, const ExecLane::Rec* b) {
-    return a->t != b->t ? a->t > b->t : a->seq > b->seq;
-  };
-  auto& h = x.replay;
-  h.clear();
-  for (auto& l : x.lanes) {
-    for (auto& r : l.recs) {
-      if (r.child < 0) h.push_back(&r);
-    }
-  }
-  std::make_heap(h.begin(), h.end(), cmp);
-  std::exception_ptr first_err;
-  std::uint64_t nrec = 0;
-  Time last_t = now_;
-  while (!h.empty()) {
-    std::pop_heap(h.begin(), h.end(), cmp);
-    ExecLane::Rec* r = h.back();
-    h.pop_back();
-    last_t = r->t;  // pops are nondecreasing in (t, seq)
-    if (r->err && !first_err) first_err = r->err;
-    ExecLane& l = x.lanes[static_cast<std::size_t>(r->lane)];
-    for (std::uint32_t i = r->cb; i < r->ce; ++i) {
-      ExecLane::Child& c = l.children[i];
-      const std::uint64_t seq = next_seq_++;
-      if (c.rec >= 0) {
-        ExecLane::Rec* cr = &l.recs[static_cast<std::size_t>(c.rec)];
-        cr->seq = seq;
-        h.push_back(cr);
-        std::push_heap(h.begin(), h.end(), cmp);
-      } else {
-        queue_push(HeapSlot{c.t, seq, c.node});
-      }
-    }
-    ++nrec;
-  }
-  now_ = last_t;
-  events_executed_ += nrec;
-  // Failure-path note (DESIGN.md): sibling window events that serial would
-  // never have reached did run before the exception surfaces here. Replay
-  // still completes first so pool accounting and deferred children are
-  // consistent; then the first exception in serial order propagates.
-  if (first_err) std::rethrow_exception(first_err);
-}
-
 Status Engine::run() {
   SPLAP_REQUIRE(!running_, "Engine::run is not reentrant");
   running_ = true;
   try {
-    while (!queue_empty()) {
-      if (exec_enabled_ && !parallel_unsafe_ && lookahead_ > 0 &&
-          try_parallel_window()) {
-        continue;
-      }
-      dispatch_serial(queue_pop());
-    }
+    while (!queue_empty()) dispatch(queue_pop());
   } catch (...) {
     dispatch_shard_ = kNoShard;
     running_ = false;

@@ -26,7 +26,6 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -45,8 +44,6 @@
 namespace splap::sim {
 
 class Engine;
-struct ExecLane;   // one worker lane of the parallel window executor
-struct ExecState;  // worker threads + window rendezvous (engine.cpp)
 
 /// Thread-creation exhaustion surfaced from Engine::spawn: at high node
 /// counts pthread_create legitimately fails (address space for stacks,
@@ -70,8 +67,7 @@ class Actor {
   Engine& engine() const { return engine_; }
 
   /// The node shard this actor belongs to (kNoShard when unsharded). Events
-  /// the actor schedules inherit it; the parallel window executor uses it to
-  /// decide which worker lane may resume the actor.
+  /// the actor schedules inherit it; Engine::kill_shard tears down by it.
   int shard() const { return shard_; }
 
   /// Stackless (handler-mode) actors run inline on the dispatching thread
@@ -127,14 +123,13 @@ class Actor {
         std::function<void(Actor&)> body, StacklessTag);
 
   void thread_main(std::function<void(Actor&)> body);
-  // Called from the dispatching thread (engine run loop or a worker lane):
-  // hand execution to the actor, return when it suspends or finishes.
-  // Stackless actors run their body inline here instead of unparking a
-  // thread.
+  // Called on the engine thread: hand execution to the actor, return when
+  // it suspends or finishes. Stackless actors run their body inline here
+  // instead of unparking a thread.
   void grant();
   // Block the calling thread until the owner half of `turn_` equals `want`.
-  // Three phases: an adaptive bounded spin (useful only with >1 hardware
-  // thread), a short yield loop (lets the partner's timeslice run on a
+  // Three phases: an adaptive bounded spin (useful only with >1 usable
+  // CPU), a short yield loop (lets the partner's timeslice run on a
   // loaded or single-CPU machine without a futex round trip), then a futex
   // park. The parked bit tells the handing-over side whether a wake syscall
   // is needed at all.
@@ -172,7 +167,6 @@ class Actor {
   // park_until epilogue when the woken side parks again), and each side only
   // ever waits for its own distinct owner value.
   int spin_budget_[2] = {-1, -1};
-  ExecLane* lane_ctx_ = nullptr;  // worker lane that granted us, else null
   std::exception_ptr failure_;
   std::function<void(Actor&)> stackless_body_;  // stackless actors only
   std::thread thread_;
@@ -180,31 +174,21 @@ class Actor {
 
 class Engine {
  public:
-  /// Compatibility alias; schedule_at accepts any callable directly and
-  /// stores small ones inline, so wrapping in std::function is unnecessary.
-  using EventFn = std::function<void()>;
-
   /// Captures up to this many bytes live inside the pooled event node; only
   /// oversized callables fall back to a heap allocation. 64 covers every
   /// steady-state capture in the tree (fabric: two pointers; LAPI/MPL defer:
   /// this + weak_ptr + std::function = 56 bytes).
   static constexpr std::size_t kInlineCallbackBytes = 64;
 
-  /// Events not pinned to any node shard; they serialize against everything
-  /// (the parallel window executor treats them as barriers).
+  /// Events not pinned to any node shard.
   static constexpr int kNoShard = -1;
 
-  // Out of line: members include unique_ptr<ExecState> (incomplete here),
-  // so construction/destruction must live where ExecState is defined.
   Engine();
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  Time now() const {
-    if (exec_enabled_) [[unlikely]] return now_slow();
-    return now_;
-  }
+  Time now() const { return now_; }
 
   /// Schedule `fn` at absolute virtual time `t` (>= now; scheduling into the
   /// virtual past would silently corrupt the clock, so it aborts). The event
@@ -220,9 +204,9 @@ class Engine {
     schedule_at(now() + d, std::forward<F>(fn));
   }
 
-  /// schedule_at pinned to node shard `shard` (kNoShard = serialize against
-  /// everything). Layers that hop work between nodes (the fabric) tag the
-  /// destination explicitly; everything else inherits.
+  /// schedule_at pinned to node shard `shard` (kNoShard = no node). Layers
+  /// that hop work between nodes (the fabric) tag the destination
+  /// explicitly; everything else inherits.
   template <class F>
   void schedule_at_on(Time t, int shard, F&& fn) {
     EventNode* n = acquire_node();
@@ -257,7 +241,7 @@ class Engine {
   Actor& spawn(std::string name, std::function<void(Actor&)> body);
 
   /// spawn pinned to node shard `shard` (the SPMD harness pins each task to
-  /// its node so the parallel executor may resume it from that node's lane).
+  /// its node so kill_shard tears it down with the node).
   Actor& spawn_on(int shard, std::string name,
                   std::function<void(Actor&)> body);
 
@@ -273,29 +257,8 @@ class Engine {
   /// actor is running or already woken (coalesced into one resume).
   void wake(Actor& a);
 
-  // --- parallel window executor (opt-in; see DESIGN.md) -------------------
-
-  /// Worker lanes for lookahead-parallel event execution. 1 = serial (the
-  /// default). Read from SPLAP_EXEC_THREADS at construction; capped at
-  /// CounterSet::kStripes - 1. Traces are bit-identical to serial mode.
-  void set_exec_threads(int n);
-  int exec_threads() const { return exec_threads_; }
-
-  /// A transport layer guarantees that any event it schedules across shards
-  /// lands at least `d` after the scheduling event. The executor's window
-  /// width is the minimum offered lookahead; without one, no windows form.
-  void offer_lookahead(Time d) {
-    if (d > 0 && (lookahead_ == 0 || d < lookahead_)) lookahead_ = d;
-  }
-  Time lookahead() const { return lookahead_; }
-
-  /// Configurations whose event behavior depends on shared mutable state the
-  /// lanes cannot partition (global RNG draws: drops, jitter, faults) call
-  /// this once; the engine then never forms parallel windows.
-  void mark_parallel_unsafe(const char* why);
-
-  /// Total events dispatched (serial and in-window). Throughput observable
-  /// for the scale benchmarks.
+  /// Total events dispatched. Throughput observable for the scale
+  /// benchmarks.
   std::uint64_t events_executed() const { return events_executed_; }
 
   /// Run until the event queue drains. Returns kOk, or kDeadlock if actors
@@ -352,8 +315,6 @@ class Engine {
 
  private:
   friend class Actor;
-  friend struct ExecLane;
-  friend struct ExecState;
 
   /// Sentinel for commit(): resolve the shard from the scheduling context
   /// (the currently dispatching event / acting actor).
@@ -585,20 +546,6 @@ class Engine {
     return tail_size_ == 0 && !box_full_ && heap_.empty();
   }
 
-  /// Pointer to the minimum slot across box/tail/heap without popping it
-  /// (window formation peeks to decide whether the front is sharded).
-  /// Null when the queue is empty; invalidated by any push or pop.
-  const HeapSlot* queue_peek() const {
-    const HeapSlot* best = box_full_ ? &box_ : nullptr;
-    if (tail_size_ != 0 && (best == nullptr || tail_front().before(*best))) {
-      best = &tail_front();
-    }
-    if (!heap_.empty() && (best == nullptr || heap_.front().before(*best))) {
-      best = &heap_.front();
-    }
-    return best;
-  }
-
   void heap_push(HeapSlot s) {
     heap_.push_back(s);
     std::size_t i = heap_.size() - 1;
@@ -634,21 +581,11 @@ class Engine {
     return top;
   }
 
-  // --- scheduling fast path ---------------------------------------------
-  // With the executor disabled (the default) these compile down to exactly
-  // the pre-executor code: pool pop, bind, queue_push. With it enabled they
-  // route through the slow paths, which resolve the scheduling context (a
-  // worker lane, an actor granted from one, or the serial loop).
+  // --- scheduling fast path: pool pop, bind, queue_push --------------------
 
-  // The pool locks itself when the executor is enabled (set_exec_threads
-  // flips it), so lanes and actor threads may allocate nodes concurrently.
   EventNode* acquire_node() { return event_pool_.acquire(); }
 
   void commit(Time t, int shard, EventNode* n) {
-    if (exec_enabled_) [[unlikely]] {
-      commit_slow(t, shard, n);
-      return;
-    }
     SPLAP_REQUIRE(t >= now_, "cannot schedule an event in the virtual past");
     n->shard = shard == kInheritShard ? dispatch_shard_ : shard;
 #ifdef SPLAP_AUDIT
@@ -657,31 +594,16 @@ class Engine {
     queue_push(HeapSlot{t, next_seq_++, n});
   }
 
-  void commit_slow(Time t, int shard, EventNode* n);
-  Time now_slow() const;
-  void init_exec_from_env();
-
-  /// Shard of the current scheduling context (worker lane, actor granted
-  /// from one, or the serially dispatching event). Spawned actors inherit it.
+  /// Shard of the current scheduling context (the acting actor, else the
+  /// dispatching event). Spawned actors inherit it.
   int context_shard() const;
 
   Actor& spawn_impl(int shard, std::string name,
                     std::function<void(Actor&)> body, bool stackless);
 
-  /// Dispatch one already-popped event on the serial path (sets now_, runs,
-  /// recycles the node; exceptions propagate after the node is released).
-  void dispatch_serial(const HeapSlot& s);
-
-  /// Try to form and execute a lookahead window starting from the queue
-  /// front. Returns false when the front is unsharded (or the window would
-  /// be trivially small), in which case the caller single-steps serially.
-  bool try_parallel_window();
-
-  /// Replay-merge after a window join: walks the executed events in serial
-  /// (time, seq) order, assigns the exact seqs serial execution would have
-  /// given every child, queues the deferred ones, and surfaces the first
-  /// in-order exception. Defined with the executor in engine.cpp.
-  void merge_window();
+  /// Dispatch one already-popped event (sets now_, runs, recycles the node;
+  /// exceptions propagate after the node is released).
+  void dispatch(const HeapSlot& s);
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -703,27 +625,16 @@ class Engine {
   std::vector<std::unique_ptr<Actor>> actors_;
   CounterSet counters_;
   bool running_ = false;
-
-  // --- parallel window executor state -----------------------------------
-  bool exec_enabled_ = false;      // exec_threads_ > 1
-  int exec_threads_ = 1;
-  bool parallel_unsafe_ = false;   // a config opted out (global RNG, faults)
-  Time lookahead_ = 0;             // min cross-shard latency offered
-  int dispatch_shard_ = kNoShard;  // shard of the serially dispatching event
+  int dispatch_shard_ = kNoShard;  // shard of the dispatching event
   std::uint64_t events_executed_ = 0;
-  std::unique_ptr<ExecState> exec_;  // lanes + rendezvous (engine.cpp)
-  std::mutex spawn_mu_;  // guards actors_/id assignment when lanes spawn
 #ifdef SPLAP_AUDIT
   // Shadow state (audit builds only). audit_step_ numbers dispatches from 1;
   // 0 means "scheduled before the run loop started", which happens-before
   // everything. The spare-block shadow set mirrors tail_spare_ exactly.
-  // With the executor enabled, worker lanes serialize on audit_mu_ around
-  // every tracker operation (shadow state is diagnostic, not hot).
   audit::LiveSet audit_spare_{"tail spare-block"};
   audit::RaceTracker audit_race_;
   std::uint64_t audit_step_ = 0;
   bool audit_legacy_full_drain_ = false;
-  std::mutex audit_mu_;
 #endif
 };
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace splap {
 namespace {
 
@@ -59,6 +61,27 @@ TEST(CounterSetTest, ResetClearsAll) {
   c.reset();
   EXPECT_EQ(c.get("a"), 0);
   EXPECT_TRUE(c.all().empty());
+}
+
+TEST(CounterSetTest, HandlesSurviveGrowthAndReset) {
+  CounterSet c;
+  const CounterSet::Handle hot = c.handle("hot");
+  hot.bump(3);
+  // Hot paths cache handles at construction; later counters must not move
+  // the entry a cached handle points at.
+  for (int i = 0; i < 1000; ++i) c.bump("filler" + std::to_string(i));
+  hot.bump(4);
+  EXPECT_EQ(c.get("hot"), 7);
+  EXPECT_EQ(c.get("filler999"), 1);
+
+  c.reset();
+  EXPECT_TRUE(c.all().empty());
+  hot.bump(2);
+  EXPECT_EQ(c.get("hot"), 2);
+  const auto all = c.all();
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].first, "hot");
+  EXPECT_EQ(all[0].second, 2);
 }
 
 }  // namespace

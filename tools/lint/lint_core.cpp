@@ -28,8 +28,9 @@ bool in_trace_dirs(std::string_view rel) {
 
 /// The layers above the engine: all concurrency there is virtual (actors
 /// suspend, events order effects). Only src/sim and src/base may own real
-/// threads, locks or atomics — the engine's worker lanes and actor handoff
-/// are the single place OS concurrency is allowed to live.
+/// threads, locks or atomics — the engine's actor handoff, and the
+/// process-wide state (slab cache, log) that the sweep driver's
+/// machine-per-thread runs share.
 bool in_protocol_layers(std::string_view rel) {
   return starts_with(rel, "src/net/") || starts_with(rel, "src/lapi/") ||
          starts_with(rel, "src/mpl/") || starts_with(rel, "src/ga/");
@@ -102,7 +103,7 @@ const std::vector<Rule>& rule_table() {
         "(virtual concurrency only)",
         "OS concurrency primitive in a protocol layer: code above the "
         "engine runs on virtual time and synchronizes through actors and "
-        "events (the parallel worker lanes order cross-node effects "
+        "events (one event loop orders cross-node effects "
         "deterministically); real locks or atomics here would hide "
         "nondeterminism from the trace gate",
         std::regex(R"(\bstd::(?:recursive_|timed_|shared_)?mutex\b|\bstd::condition_variable(?:_any)?\b|\bstd::(?:jthread|thread)\b|\bstd::atomic\b|\bstd::atomic_\w+|\bthread_local\b|\bpthread_\w+)",

@@ -138,8 +138,9 @@ TEST(LintRules, OsSyncFiresOnEachBadLine) {
 TEST(LintRules, OsSyncQuietOnVirtualCodeAndBelowProtocolLayers) {
   EXPECT_TRUE(
       scan_source("src/lapi/x.cc", fixture("good_os_sync.cc")).empty());
-  // The engine layer owns the real threads (worker lanes, actor handoff):
-  // the same primitives are legal under src/sim and src/base.
+  // The engine layer owns the real threads (the actor handoff; the sweep
+  // driver runs whole machines on threads): the same primitives are legal
+  // under src/sim and src/base.
   EXPECT_TRUE(
       scan_source("src/sim/x.cc", fixture("bad_os_sync.cc")).empty());
   EXPECT_TRUE(
