@@ -1,20 +1,19 @@
 // Engine scale-out benchmark: events/sec and packets/sec versus node count,
-// thread-per-actor driver versus stackless (handler-mode) driver, with the
-// identical virtual traffic pattern in both. These are meta-benchmarks of
-// the simulator (like bench_engine_perf), answering the ROADMAP item-4
-// question: how many simulated SP nodes can one process drive?
+// actor driver versus event driver, with the identical virtual traffic
+// pattern in both. These are meta-benchmarks of the simulator (like
+// bench_engine_perf), answering the question: how many simulated SP nodes
+// can one process drive, and what does an actor cost over a bare event?
 //
 // Traffic: every node sends `kPacketsPerNode` full packets to its right
-// neighbour, one per simulated microsecond. The threaded driver paces with
-// Actor::compute (two OS-thread handoffs per packet — the cost this PR's
-// stackless actors eliminate); the stackless driver paces with a
-// self-rescheduling event chain that transmits under the node's stackless
-// identity actor. Virtual timelines are identical; the wall-clock gap is
-// pure actor-machinery overhead.
+// neighbour, one per simulated microsecond. The actor driver runs one actor
+// per node that paces with Actor::compute (two fiber switches per packet);
+// the event driver paces with a self-rescheduling event chain per node.
+// Virtual timelines are identical; the wall-clock gap is pure
+// actor-machinery overhead.
 //
 // Emits BENCH_scale.json (override with --json_out=PATH), pinned by
 // scripts/golden_check.sh: run names, the schema tag, and the 1024-node
-// stackless-vs-threaded speedup floor are all checked there.
+// event-over-actor ceiling are all checked there.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -51,28 +50,26 @@ void send_one(net::Machine& m, int src, int nodes) {
   m.fabric().transmit(std::move(p));
 }
 
-struct StacklessDrv {
-  sim::Actor* actor = nullptr;
+struct EventDrv {
   int id = 0;
   int left = kPacketsPerNode;
 };
 
-void stackless_step(net::Machine& m, StacklessDrv* d, int nodes) {
-  d->actor->run_inline(
-      [&m, d, nodes](sim::Actor&) { send_one(m, d->id, nodes); });
+void event_step(net::Machine& m, EventDrv* d, int nodes) {
+  send_one(m, d->id, nodes);
   if (--d->left > 0) {
     m.engine().schedule_at_on(m.engine().now() + microseconds(1), d->id,
-                              [&m, d, nodes] { stackless_step(m, d, nodes); });
+                              [&m, d, nodes] { event_step(m, d, nodes); });
   }
 }
 
 /// One full scenario: construct drivers, run to completion, report rates.
-/// The timed region includes driver setup — thread creation is part of what
-/// the thread-per-actor model costs at scale.
-RunResult run_scenario(int nodes, bool stackless) {
+/// The timed region includes driver setup — stack mapping is part of what
+/// an actor per node costs at scale.
+RunResult run_scenario(int nodes, bool actors) {
   RunResult r;
   r.nodes = nodes;
-  r.driver = stackless ? "stackless" : "threaded";
+  r.driver = actors ? "actor" : "event";
   r.name = std::string(r.driver) + "_" + std::to_string(nodes);
 
   net::Machine::Config mc;
@@ -85,19 +82,9 @@ RunResult run_scenario(int nodes, bool stackless) {
                                         [&](net::Packet&&) { ++delivered; });
   }
 
-  std::vector<StacklessDrv> drvs;
+  std::vector<EventDrv> drvs;
   const auto t0 = std::chrono::steady_clock::now();
-  if (stackless) {
-    drvs.resize(static_cast<std::size_t>(nodes));
-    for (int i = 0; i < nodes; ++i) {
-      StacklessDrv* d = &drvs[static_cast<std::size_t>(i)];
-      d->id = i;
-      d->actor = &m.engine().spawn_stackless(
-          i, "drv" + std::to_string(i), nullptr);
-      m.engine().schedule_at_on(microseconds(1), i,
-                                [&m, d, nodes] { stackless_step(m, d, nodes); });
-    }
-  } else {
+  if (actors) {
     for (int i = 0; i < nodes; ++i) {
       m.engine().spawn_on(i, "drv" + std::to_string(i),
                           [&m, i, nodes](sim::Actor& self) {
@@ -106,6 +93,14 @@ RunResult run_scenario(int nodes, bool stackless) {
                               send_one(m, i, nodes);
                             }
                           });
+    }
+  } else {
+    drvs.resize(static_cast<std::size_t>(nodes));
+    for (int i = 0; i < nodes; ++i) {
+      EventDrv* d = &drvs[static_cast<std::size_t>(i)];
+      d->id = i;
+      m.engine().schedule_at_on(microseconds(1), i,
+                                [&m, d, nodes] { event_step(m, d, nodes); });
     }
   }
   (void)m.engine().run();
@@ -125,10 +120,10 @@ RunResult run_scenario(int nodes, bool stackless) {
 }
 
 bool write_json(const std::string& path, const std::vector<RunResult>& runs,
-                double speedup_1024) {
+                double event_over_actor_1024) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
-  std::fprintf(f, "{\n  \"schema\": \"splap-scale-v2\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"splap-scale-v3\",\n");
   std::fprintf(f, "  \"binary\": \"bench_scale\",\n");
   std::fprintf(f, "  \"packets_per_node\": %d,\n", kPacketsPerNode);
   std::fprintf(f, "  \"runs\": [\n");
@@ -147,7 +142,8 @@ bool write_json(const std::string& path, const std::vector<RunResult>& runs,
                  i + 1 < runs.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"speedup_1024\": %.2f\n}\n", speedup_1024);
+  std::fprintf(f, "  \"event_over_actor_1024\": %.2f\n}\n",
+               event_over_actor_1024);
   std::fclose(f);
   return true;
 }
@@ -161,24 +157,23 @@ int main(int argc, char** argv) {
   }
 
   std::vector<RunResult> runs;
-  double threaded_1024 = 0;
-  double stackless_1024 = 0;
+  double actor_1024 = 0;
+  double event_1024 = 0;
   for (const int nodes : {64, 256, 1024}) {
-    for (const bool stackless : {false, true}) {
-      RunResult r = run_scenario(nodes, stackless);
+    for (const bool actors : {true, false}) {
+      RunResult r = run_scenario(nodes, actors);
       std::printf("%-20s %5d nodes  %8.1f ms  %12.0f events/s  %12.0f pkts/s\n",
                   r.name.c_str(), r.nodes, r.wall_ms, r.events_per_second,
                   r.packets_per_second);
       if (nodes == 1024) {
-        (stackless ? stackless_1024 : threaded_1024) = r.packets_per_second;
+        (actors ? actor_1024 : event_1024) = r.packets_per_second;
       }
       runs.push_back(std::move(r));
     }
   }
-  const double speedup = stackless_1024 / threaded_1024;
-  std::printf("1024-node stackless vs threaded packet throughput: %.1fx\n",
-              speedup);
-  if (!write_json(json_path, runs, speedup)) {
+  const double ratio = event_1024 / actor_1024;
+  std::printf("1024-node event vs actor packet throughput: %.1fx\n", ratio);
+  if (!write_json(json_path, runs, ratio)) {
     std::fprintf(stderr, "bench_scale: cannot write %s\n", json_path.c_str());
     return 1;
   }

@@ -25,9 +25,8 @@
 #              crashed node's teardown must leak zero records and credits
 #              beyond the forgiven crashed-epoch residue
 #   scale      the engine scale-out harness (tests labelled `scale`): the
-#              1024-node smoke, the stackless completion pool and the
-#              spawn-exhaustion regression, run optimized, under ASan+UBSan,
-#              and under SPLAP_AUDIT
+#              1024-node smoke and the spawn-exhaustion regression, run
+#              optimized, under ASan+UBSan, and under SPLAP_AUDIT
 #   partition  the partition / gray-failure harness (tests labelled
 #              `partition`): asymmetric blackholes, split/merge of partition
 #              groups, stragglers under legacy-vs-accrual detection, the
@@ -38,9 +37,11 @@
 #              scatter-direct assembly, FakeWire exactly-once under loss and
 #              corruption, and the GA putv/getv wiring — run optimized,
 #              under ASan+UBSan, and under SPLAP_AUDIT
-#   tsan       ThreadSanitizer over the genuinely-concurrent code: the actor
-#              park/unpark handoff (sim_engine_test) and the parallel sweep
-#              driver (bench_fig2_bandwidth with SPLAP_SWEEP_THREADS=4)
+#   tsan       ThreadSanitizer over the engine's TSan fiber hooks
+#              (sim_engine_test) and the only genuinely-concurrent code, the
+#              parallel sweep driver (bench_fig2_bandwidth with
+#              SPLAP_SWEEP_THREADS=4, machines and their fibers on four OS
+#              threads)
 #   audit      SPLAP_AUDIT build + full ctest: shadow-state lifecycle and
 #              virtual-time race auditing across every suite, chaos included
 #

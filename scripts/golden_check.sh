@@ -19,12 +19,13 @@
 #                vary run to run, so the guard pins its schema and benchmark
 #                name set, not its bytes
 #   scale        BENCH_scale.json likewise: schema + run-name set pinned, plus
-#                the one number that is a hard claim rather than a timing —
-#                the 1024-node stackless-vs-threaded speedup floor (>= 10x).
-#                The floor is skipped in sanitized/audit builds: instrumentation
-#                taxes the inline stackless path far more than the
-#                thread-creation-bound baseline, so the ratio only means
-#                something on an optimized build.
+#                one ratio that is a hard claim rather than a timing — at
+#                1024 nodes a bare event chain moves packets at most 25x
+#                faster than one actor per node (event_over_actor_1024 <= 25).
+#                The ceiling fails if actors ever cost an OS thread each
+#                again. It is skipped in sanitized/audit builds:
+#                instrumentation taxes the two drivers unevenly, so the ratio
+#                only means something on an optimized build.
 #
 # Usage: scripts/golden_check.sh <build-dir>
 # Re-baselining (only after an intentional behavior change): re-run the three
@@ -88,25 +89,24 @@ done
 
 echo "-- scale schema"
 "$BUILD_DIR"/bench/bench_scale --json_out="$TMP/BENCH_scale.json" > /dev/null
-grep -q '"schema": "splap-scale-v2"' "$TMP/BENCH_scale.json"
-for name in threaded_64 stackless_64 threaded_256 stackless_256 \
-            threaded_1024 stackless_1024; do
+grep -q '"schema": "splap-scale-v3"' "$TMP/BENCH_scale.json"
+for name in actor_64 event_64 actor_256 event_256 actor_1024 event_1024; do
   grep -q "\"name\": \"$name\"" "$TMP/BENCH_scale.json" \
     || { echo "missing run $name in BENCH_scale.json"; exit 1; }
 done
-# The PR's headline claim, re-proven on every run: at 1024 nodes the
-# stackless driver moves packets at >= 10x the thread-per-actor rate.
-# Sanitizer/audit instrumentation slows the inline stackless path far more
-# than the thread-creation-bound baseline, so the ratio is only meaningful
-# (and only enforced) on an uninstrumented build.
+# What an actor costs over a bare event, re-proven on every run: at 1024
+# nodes the event driver may move packets at most 25x faster than the actor
+# driver (fibers measured 7.0-15.2x; an OS thread per actor measured 44-64x).
+# Sanitizer/audit instrumentation taxes the two drivers unevenly, so the
+# ceiling is only meaningful (and only enforced) on an uninstrumented build.
 if grep -qE 'SPLAP_SANITIZE:[A-Z]+=(ON|thread)|SPLAP_AUDIT:[A-Z]+=ON' \
     "$BUILD_DIR/CMakeCache.txt" 2>/dev/null; then
-  echo "   (instrumented build: schema+names pinned, speedup floor skipped)"
+  echo "   (instrumented build: schema+names pinned, actor-cost ceiling skipped)"
 else
-  speedup=$(grep -o '"speedup_1024": [0-9.]*' "$TMP/BENCH_scale.json" |
+  ratio=$(grep -o '"event_over_actor_1024": [0-9.]*' "$TMP/BENCH_scale.json" |
     grep -o '[0-9.]*$')
-  awk -v s="$speedup" 'BEGIN { exit !(s >= 10.0) }' \
-    || { echo "1024-node stackless speedup ${speedup}x < 10x"; exit 1; }
+  awk -v r="$ratio" 'BEGIN { exit !(r <= 25.0) }' \
+    || { echo "1024-node event/actor packet-rate ratio ${ratio}x > 25x"; exit 1; }
 fi
 
 echo "golden outputs identical"

@@ -1,7 +1,7 @@
 // Minimal leveled logger for the simulator. Off (kWarn) by default so test
 // and benchmark output stays clean; tests that diagnose protocol behaviour
-// raise the level locally. Thread-safe: actor threads and the engine thread
-// may log concurrently during handoff windows.
+// raise the level locally. Thread-safe: the sweep driver
+// (SPLAP_SWEEP_THREADS) runs machines on several OS threads that log at once.
 #pragma once
 
 #include <cstdarg>

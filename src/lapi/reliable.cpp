@@ -155,18 +155,6 @@ void SendEngine::submit(PktKind kind, int target,
   Time inject_at;
   bool park_for_credits = false;
   if (sim::Actor* a = sim::Actor::current()) {
-    if (config_.max_injection_backlog > 0) {
-      // Sender-side pacing: instead of over-injecting into a saturated TX
-      // link, the call blocks until the backlog drains to the limit.
-      const Time backlog = wire_.link_free(task_id_) - engine.now();
-      if (backlog > config_.max_injection_backlog) {
-        engine.counters().bump("lapi.tx_backpressure");
-        // splap-graph: allow(blocking-reachability): guarded by
-        // Actor::current() — handler-context callers take the else branch
-        // below, which charges busy_until_ instead of suspending.
-        a->compute(backlog - config_.max_injection_backlog);
-      }
-    }
     if (flow && suspected_.count(target) == 0 &&
         !(credits_.can_send(target, pkts) && credit_waitq_.count(target) == 0)) {
       // Backpressure: the call parks until the peer's credit pool can admit

@@ -119,16 +119,9 @@ struct Config {
   /// mode" (Section 2.1).
   bool interrupt_mode = true;
   /// Completion-handler service threads (1 on the 1998 implementation;
-  /// multiple threads are the paper's future-work item for SMP nodes).
+  /// multiple threads are the paper's future-work item for SMP nodes). Each
+  /// is an actor of the node's engine, a fiber rather than an OS thread.
   int completion_threads = 1;
-  /// Run completion handlers on stackless service actors: jobs execute
-  /// inline on the engine thread instead of parking a dedicated OS thread
-  /// per context. Saves one thread per node at scale (1024-node runs halve
-  /// their thread count) but requires every completion handler to finish
-  /// without suspending — handlers that block (the GA accumulate mutex)
-  /// need the threaded default. Contract details: DESIGN.md engine
-  /// internals, "stackless actors".
-  bool stackless_completions = false;
   /// Retransmission: first timeout; doubles per retry. Generous by default:
   /// a busy dispatcher (e.g. a GA header handler streaming reply chunks)
   /// can legitimately delay acks by more than a millisecond. With
@@ -182,10 +175,6 @@ struct Config {
   /// partial creation), covering origins that died without a kCancel.
   /// 0 = no TTL sweep; the explicit giveup/kCancel reclaim is always on.
   Time partial_ttl = 0;
-  /// Sender-side link pacing: an actor-context call whose TX link backlog
-  /// exceeds this parks (blocks computing) until the backlog drains to the
-  /// limit, instead of over-injecting. 0 = no pacing.
-  Time max_injection_backlog = 0;
 
   // --- registered-memory zero-copy (default off: golden traces unchanged) --
   /// Enable the zero-copy protocol: contiguous/strided Puts (and Get

@@ -40,7 +40,7 @@ Status Machine::run_spmd(const std::function<void(Node&)>& body) {
       n->task_ = &engine_.spawn_on(n->id(), "task" + std::to_string(n->id()),
                                    [n, body](sim::Actor&) { body(*n); });
     } catch (const sim::SpawnError& e) {
-      // Thread exhaustion at high node counts is an environment limit, not a
+      // Stack exhaustion at high node counts is an environment limit, not a
       // bug: quiesce the tasks already spawned and report it as recoverable.
       SPLAP_WARN(engine_.now(), "run_spmd: %s", e.what());
       engine_.shutdown();

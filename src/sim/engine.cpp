@@ -1,12 +1,26 @@
 #include "sim/engine.hpp"
 
+#include <pthread.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
-#include <system_error>
+#include <cstring>
 #include <utility>
 
-#if defined(__linux__)
-#include <sched.h>
+#ifndef __has_feature
+#define __has_feature(x) 0
+#endif
+#if defined(__SANITIZE_ADDRESS__) || __has_feature(address_sanitizer)
+#define SPLAP_ASAN_FIBERS 1
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(__SANITIZE_THREAD__) || __has_feature(thread_sanitizer)
+#define SPLAP_TSAN_FIBERS 1
+#include <sanitizer/tsan_interface.h>
 #endif
 
 namespace splap::sim {
@@ -14,55 +28,71 @@ namespace {
 
 thread_local Actor* tls_current_actor = nullptr;
 
-/// Thrown into a blocked actor when the engine is torn down, so its thread
-/// unwinds cleanly (RAII still runs). Never escapes thread_main.
+/// Thrown into a suspended actor when the engine tears it down, so its stack
+/// unwinds cleanly (RAII still runs). Never escapes Actor::run_body.
 struct ActorKilled {};
 
-/// SPLAP_HANDOFF_SPINS pins the handoff spin budget (adaptive when unset).
-int env_spin_override() {
-  static const int v = [] {
-    const char* s = std::getenv("SPLAP_HANDOFF_SPINS");
-    if (s == nullptr || *s == '\0') return -1;
-    return std::atoi(s);
-  }();
+std::size_t page_bytes() {
+  static const std::size_t v = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
   return v;
 }
 
-/// More than one CPU this process may run on. The affinity mask, not the
-/// machine's thread count: a process pinned to one CPU (taskset) would
-/// otherwise spin against a partner that cannot run until it yields.
-bool multi_hw() {
-  static const bool v = [] {
-#if defined(__linux__)
-    cpu_set_t set;
-    if (sched_getaffinity(0, sizeof set, &set) == 0) {
-      return CPU_COUNT(&set) > 1;
+/// The default pthread stack size (RLIMIT_STACK, 8 MB on common Linux
+/// hosts): an actor gets the same stack a thread would, so deep GA frames fit.
+std::size_t default_stack_bytes() {
+  static const std::size_t v = [] {
+    std::size_t bytes = 8u << 20;
+    pthread_attr_t attr;
+    if (pthread_attr_init(&attr) == 0) {
+      (void)pthread_attr_getstacksize(&attr, &bytes);
+      (void)pthread_attr_destroy(&attr);
     }
-#endif
-    return std::thread::hardware_concurrency() > 1;
+    const std::size_t page = page_bytes();
+    return (bytes + page - 1) / page * page;
   }();
   return v;
 }
 
-/// Starting spin budget before yielding/parking. With a single usable CPU
-/// spinning only delays the partner's timeslice, so the fast path goes
-/// straight to the yield loop.
-int initial_spin_budget() {
-  const int o = env_spin_override();
-  if (o >= 0) return o;
-  return multi_hw() ? 256 : 0;
+// Sanitizer fiber hooks: every switch tells ASan which stack it lands on and
+// TSan which fiber runs next. No-ops in uninstrumented builds.
+#if defined(SPLAP_ASAN_FIBERS)
+void asan_start_switch(void** fake_stack, const void* lo, std::size_t bytes) {
+  __sanitizer_start_switch_fiber(fake_stack, lo, bytes);
 }
-
-constexpr int kSpinMax = 4096;
-constexpr int kYieldRounds = 2;
-
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
+void asan_finish_switch(void* fake_stack, const void** old_lo,
+                        std::size_t* old_bytes) {
+  __sanitizer_finish_switch_fiber(fake_stack, old_lo, old_bytes);
+}
+// A fresh mapping may reuse a dead fiber's address range, whose frames left
+// scope poisoning behind in the shadow. Only 32 KB blocks (one shadow page
+// each) that hold poison are cleared: writing the whole shadow would make
+// every 8 MB stack cost 1 MB of resident memory.
+void asan_unpoison(char* p, std::size_t bytes) {
+  constexpr std::size_t kBlock = std::size_t{32} << 10;
+  for (std::size_t off = 0; off < bytes; off += kBlock) {
+    const std::size_t n = std::min(kBlock, bytes - off);
+    if (__asan_region_is_poisoned(p + off, n) != nullptr) {
+      __asan_unpoison_memory_region(p + off, n);
+    }
+  }
+}
+#else
+void asan_start_switch(void**, const void*, std::size_t) {}
+void asan_finish_switch(void*, const void**, std::size_t*) {}
+void asan_unpoison(char*, std::size_t) {}
 #endif
-}
+
+#if defined(SPLAP_TSAN_FIBERS)
+void* tsan_create_fiber() { return __tsan_create_fiber(0); }
+void tsan_destroy_fiber(void* fiber) { __tsan_destroy_fiber(fiber); }
+void* tsan_current_fiber() { return __tsan_get_current_fiber(); }
+void tsan_switch_to(void* fiber) { __tsan_switch_to_fiber(fiber, 0); }
+#else
+void* tsan_create_fiber() { return nullptr; }
+void tsan_destroy_fiber(void*) {}
+void* tsan_current_fiber() { return nullptr; }
+void tsan_switch_to(void*) {}
+#endif
 
 }  // namespace
 
@@ -75,124 +105,93 @@ Actor::Actor(Engine& engine, int id, int shard, std::string name,
     : engine_(engine),
       id_(id),
       shard_(shard),
-      stackless_(false),
-      name_(std::move(name)) {
-  thread_ = std::thread([this, b = std::move(body)]() mutable {
-    thread_main(std::move(b));
-  });
-}
-
-Actor::Actor(Engine& engine, int id, int shard, std::string name,
-             std::function<void(Actor&)> body, StacklessTag)
-    : engine_(engine),
-      id_(id),
-      shard_(shard),
-      stackless_(true),
       name_(std::move(name)),
-      stackless_body_(std::move(body)) {
-  block_reason_ = stackless_body_ ? "not started" : "stackless-idle";
+      body_(std::move(body)) {
+  const std::size_t guard = page_bytes();
+  const std::size_t bytes = guard + default_stack_bytes();
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1,
+                 0);
+  if (p == MAP_FAILED || mprotect(p, guard, PROT_NONE) != 0) {
+    const int err = errno;
+    if (p != MAP_FAILED) (void)munmap(p, bytes);
+    throw SpawnError("cannot map a stack for actor #" + std::to_string(id) +
+                     ": " + std::strerror(err) +
+                     " — the OS refused another actor stack; reduce the "
+                     "node count");
+  }
+  stack_ = static_cast<char*>(p);
+  stack_bytes_ = bytes;
+  asan_unpoison(stack_ + guard, bytes - guard);
+  tsan_fiber_ = tsan_create_fiber();
+  (void)getcontext(&fiber_ctx_);
+  fiber_ctx_.uc_stack.ss_sp = stack_ + guard;
+  fiber_ctx_.uc_stack.ss_size = bytes - guard;
+  fiber_ctx_.uc_link = nullptr;  // fiber_main never returns
+  makecontext(&fiber_ctx_, &Actor::fiber_main, 0);
 }
 
-Actor::~Actor() {
-  if (thread_.joinable()) thread_.join();
+Actor::~Actor() { release_stack(); }
+
+void Actor::release_stack() {
+  if (stack_ == nullptr) return;
+  (void)munmap(stack_, stack_bytes_);
+  stack_ = nullptr;
+  tsan_destroy_fiber(tsan_fiber_);
+  tsan_fiber_ = nullptr;
 }
 
 Time Actor::now() const { return engine_.now(); }
 
 Actor* Actor::current() { return tls_current_actor; }
 
-void Actor::park_until(std::uint32_t want) {
-  if ((turn_.load(std::memory_order_acquire) & kOwnerMask) == want) return;
-  int& budget = spin_budget_[want & kOwnerMask];
-  if (budget < 0) budget = initial_spin_budget();
-  const bool adaptive = env_spin_override() < 0;
-  for (int i = budget; i-- > 0;) {
-    cpu_relax();
-    if ((turn_.load(std::memory_order_acquire) & kOwnerMask) == want) return;
-  }
-  // Yield phase: on a loaded or single-CPU machine the partner needs our
-  // timeslice, not our spinning — and a yield that succeeds saves the futex
-  // wait AND the partner's wake syscall (it sees no parked bit).
-  for (int i = 0; i < kYieldRounds; ++i) {
-    std::this_thread::yield();
-    if ((turn_.load(std::memory_order_acquire) & kOwnerMask) == want) {
-      if (adaptive && multi_hw() && budget < kSpinMax) {
-        // Spin missed but yield caught it: a longer spin may dodge even the
-        // yield next time.
-        budget = std::min(budget * 2 + 16, kSpinMax);
-      }
-      return;
-    }
-  }
-  if (adaptive) budget /= 2;  // both phases missed: spinning is wasted here
-  // Advertise the park so the handing-over side knows a wake is needed. The
-  // waiter never writes the owner bit — a post-wake store could clobber the
-  // partner's freshly set parked bit and lose its wake; only the handoff
-  // exchange in hand_to clears the bit.
-  std::uint32_t cur =
-      turn_.fetch_or(kParkedBit, std::memory_order_acq_rel) | kParkedBit;
-  while ((cur & kOwnerMask) != want) {
-    turn_.wait(cur, std::memory_order_acquire);
-    cur = turn_.load(std::memory_order_acquire);
-  }
-}
-
-void Actor::hand_to(std::uint32_t next) {
-  const std::uint32_t old = turn_.exchange(next, std::memory_order_acq_rel);
-  if ((old & kParkedBit) != 0) turn_.notify_one();
-}
-
-void Actor::thread_main(std::function<void(Actor&)> body) {
-  // Wait for the first grant; the engine owns the control token until then.
-  park_until(kActorHasControl);
-  tls_current_actor = this;
-  block_reason_ = "running";
-  if (!poisoned()) {
-    try {
-      body(*this);
-    } catch (const ActorKilled&) {
-      // Engine teardown: unwind silently.
-    } catch (...) {
-      failure_ = std::current_exception();
-    }
-  }
-  tls_current_actor = nullptr;
-  block_reason_ = "finished";
-  finished_ = true;
-  hand_to(kEngineHasControl);
-}
-
 bool Actor::poisoned() const { return poisoned_; }
+
+void Actor::fiber_main() {
+  // grant() made this actor current before switching here. No local with a
+  // destructor may live in this frame: the final switch never returns.
+  Actor* const self = tls_current_actor;
+  asan_finish_switch(nullptr, &self->caller_stack_lo_,
+                     &self->caller_stack_bytes_);
+  self->block_reason_ = "running";
+  self->run_body();
+  self->block_reason_ = "finished";
+  self->finished_ = true;
+  asan_start_switch(nullptr, self->caller_stack_lo_, self->caller_stack_bytes_);
+  tsan_switch_to(self->tsan_caller_);
+  (void)setcontext(&self->caller_ctx_);
+  std::abort();  // setcontext returns only on failure
+}
+
+void Actor::run_body() {
+  if (poisoned_) return;  // torn down before its first grant: never starts
+  // Moved onto the fiber, so the captures die when the body returns.
+  const std::function<void(Actor&)> body = std::move(body_);
+  try {
+    body(*this);
+  } catch (const ActorKilled&) {
+    // Engine teardown: unwind silently.
+  } catch (...) {
+    failure_ = std::current_exception();
+  }
+}
 
 void Actor::grant() {
   if (finished_) return;
-  if (stackless_) {
-    Actor* saved = tls_current_actor;
-    tls_current_actor = this;
-    block_reason_ = "running";
-    struct Restore {  // restores on the throw path too
-      Actor*& slot;
-      Actor* saved;
-      Actor* self;
-      ~Restore() {
-        slot = saved;
-        self->block_reason_ = "finished";
-        self->finished_ = true;
-      }
-    } restore{tls_current_actor, saved, this};
-    if (stackless_body_) {
-      // Move out so captured state is freed as soon as the body returns.
-      auto body = std::move(stackless_body_);
-      stackless_body_ = nullptr;
-      body(*this);
-    }
-    return;
-  }
-  SPLAP_REQUIRE(
-      (turn_.load(std::memory_order_relaxed) & kOwnerMask) == kEngineHasControl,
-      "grant() on an actor that is not descheduled");
-  hand_to(kActorHasControl);
-  park_until(kEngineHasControl);
+  SPLAP_REQUIRE(!running_, "grant() on an actor that is not descheduled");
+  Actor* const granter = tls_current_actor;
+  tls_current_actor = this;
+  running_ = true;
+  void* fake_stack = nullptr;
+  asan_start_switch(&fake_stack, fiber_ctx_.uc_stack.ss_sp,
+                    fiber_ctx_.uc_stack.ss_size);
+  tsan_caller_ = tsan_current_fiber();
+  tsan_switch_to(tsan_fiber_);
+  (void)swapcontext(&caller_ctx_, &fiber_ctx_);
+  asan_finish_switch(fake_stack, nullptr, nullptr);
+  running_ = false;
+  tls_current_actor = granter;
+  if (finished_) release_stack();
   if (failure_) {
     // Move, don't copy: exception_ptr copies touch an atomic refcount.
     std::exception_ptr f = std::move(failure_);
@@ -201,39 +200,35 @@ void Actor::grant() {
   }
 }
 
-void Actor::run_inline(const std::function<void(Actor&)>& fn) {
-  SPLAP_REQUIRE(stackless_,
-                "run_inline is only valid on a stackless actor (thread-backed "
-                "actors run their own body)");
-  SPLAP_REQUIRE(!finished_, "run_inline on a finished actor");
-  Actor* saved = tls_current_actor;
-  tls_current_actor = this;
-  const char* saved_reason = block_reason_;
-  block_reason_ = "running";
-  struct Restore {
-    Actor*& slot;
-    Actor* saved;
-    Actor* self;
-    const char* reason;
-    ~Restore() {
-      slot = saved;
-      self->block_reason_ = reason;
-    }
-  } restore{tls_current_actor, saved, this, saved_reason};
-  fn(*this);
+void Actor::switch_out() {
+  void* fake_stack = nullptr;
+  asan_start_switch(&fake_stack, caller_stack_lo_, caller_stack_bytes_);
+  tsan_switch_to(tsan_caller_);
+  (void)swapcontext(&fiber_ctx_, &caller_ctx_);
+  asan_finish_switch(fake_stack, &caller_stack_lo_, &caller_stack_bytes_);
+}
+
+void Actor::kill() {
+  poisoned_ = true;
+  try {
+    grant();
+  } catch (...) {
+    // A torn-down actor's late failure must not propagate into teardown.
+  }
 }
 
 void Actor::suspend(const char* why) {
-  SPLAP_REQUIRE(!stackless_,
-                "stackless (handler-mode) actor attempted to block; stackless "
-                "actors must never suspend/wait/compute — use a thread-backed "
-                "actor for blocking code");
   SPLAP_REQUIRE(current() == this,
-                "suspend() may only be called from the actor's own thread "
+                "suspend() may only be called from the actor's own body "
                 "(blocking is forbidden in handler/event context)");
+#ifdef SPLAP_AUDIT
+  if (std::current_exception() != nullptr) {
+    audit::fail("actor suspended inside a catch handler", "Actor::suspend",
+                this);
+  }
+#endif
   block_reason_ = why;
-  hand_to(kEngineHasControl);
-  park_until(kActorHasControl);
+  switch_out();
   if (poisoned_) throw ActorKilled{};
   block_reason_ = "running";
 }
@@ -241,12 +236,14 @@ void Actor::suspend(const char* why) {
 void Actor::compute(Time d) {
   SPLAP_REQUIRE(d >= 0, "compute() requires a non-negative duration");
   if (d == 0) return;
-  bool fired = false;
-  engine_.schedule_after(d, [this, &fired] {
-    fired = true;
+  // The flag lives in the Actor, not on its stack: an actor torn down
+  // mid-compute leaves this timer queued after its stack is unmapped.
+  timer_fired_ = false;
+  engine_.schedule_after(d, [this] {
+    timer_fired_ = true;
     engine_.wake(*this);
   });
-  while (!fired) suspend("compute");
+  while (!timer_fired_) suspend("compute");
 }
 
 // ---------------------------------------------------------------------------
@@ -307,48 +304,20 @@ void Engine::audit_object_touch(const void* obj, const char* where) {
 #endif
 
 void Engine::shutdown() {
-  // Unwind any actor still blocked (failed run, deadlock, or an exception
-  // that aborted the event loop). Stackless actors have no stack to unwind:
-  // mark them finished and drop any unstarted body.
+  // Unwind any actor still suspended (failed run, deadlock, or an exception
+  // that aborted the event loop).
   for (auto& a : actors_) {
-    if (a->finished_) continue;
-    a->poisoned_ = true;
-    if (a->stackless_) {
-      a->finished_ = true;
-      a->block_reason_ = "finished";
-      a->stackless_body_ = nullptr;
-      continue;
-    }
-    try {
-      a->grant();
-    } catch (...) {
-      // Teardown must not throw; drop late failures.
-    }
+    if (!a->finished_) a->kill();
   }
-  // Actor destructors join the threads.
 }
 
 void Engine::kill_shard(int shard) {
   // Same per-actor unwind as shutdown(), restricted to one node's shard.
-  // The single-runnable-entity invariant guarantees every actor is parked
-  // while an event callback runs, so granting a poisoned actor here hands
-  // its thread exactly one resume in which suspend() rethrows the teardown
+  // Every actor is suspended while an event callback runs, so the grant in
+  // kill() resumes each exactly once: its suspend() throws the teardown
   // exception and the stack unwinds.
   for (auto& a : actors_) {
-    if (a->finished_ || a->shard_ != shard) continue;
-    a->poisoned_ = true;
-    if (a->stackless_) {
-      a->finished_ = true;
-      a->block_reason_ = "finished";
-      a->stackless_body_ = nullptr;
-      continue;
-    }
-    try {
-      a->grant();
-    } catch (...) {
-      // A crash-stop unwind must not propagate into the dispatcher; late
-      // failures from a dying node are dropped like in shutdown().
-    }
+    if (!a->finished_ && a->shard_ == shard) a->kill();
   }
 }
 
@@ -358,53 +327,21 @@ int Engine::context_shard() const {
   return dispatch_shard_;
 }
 
-Actor& Engine::spawn_impl(int shard, std::string name,
-                          std::function<void(Actor&)> body, bool stackless) {
-  const bool has_body = static_cast<bool>(body);
-  const int id = static_cast<int>(actors_.size());
-  std::unique_ptr<Actor> a;
-  if (stackless) {
-    a.reset(new Actor(*this, id, shard, std::move(name), std::move(body),
-                      Actor::StacklessTag{}));
-  } else {
-    try {
-      a.reset(new Actor(*this, id, shard, std::move(name), std::move(body)));
-    } catch (const std::system_error& e) {
-      throw SpawnError(std::string("cannot create a thread for actor #") +
-                       std::to_string(id) + ": " + e.what() +
-                       " — the OS refused another thread; reduce the node "
-                       "count or use stackless actors for non-blocking "
-                       "endpoints");
-    }
-  }
-  Actor* p = a.get();
-  actors_.push_back(std::move(a));
-  // Stackless identity actors (null body) exist only as run_inline targets;
-  // everything else gets its body started at the current time.
-  if (!stackless || has_body) {
-    schedule_at_on(now(), shard, [p] { p->grant(); });
-  }
-  return *p;
-}
-
 Actor& Engine::spawn(std::string name, std::function<void(Actor&)> body) {
-  return spawn_impl(context_shard(), std::move(name), std::move(body), false);
+  return spawn_on(context_shard(), std::move(name), std::move(body));
 }
 
 Actor& Engine::spawn_on(int shard, std::string name,
                         std::function<void(Actor&)> body) {
-  return spawn_impl(shard, std::move(name), std::move(body), false);
-}
-
-Actor& Engine::spawn_stackless(int shard, std::string name,
-                               std::function<void(Actor&)> body) {
-  return spawn_impl(shard, std::move(name), std::move(body), true);
+  const int id = static_cast<int>(actors_.size());
+  actors_.push_back(std::unique_ptr<Actor>(
+      new Actor(*this, id, shard, std::move(name), std::move(body))));
+  Actor* p = actors_.back().get();
+  schedule_at_on(now(), shard, [p] { p->grant(); });
+  return *p;
 }
 
 void Engine::wake(Actor& a) {
-  SPLAP_REQUIRE(!a.stackless_,
-                "wake() on a stackless actor (they never block, so there is "
-                "nothing to resume)");
   if (a.finished_) return;
   if (a.wake_pending_) return;
   a.wake_pending_ = true;
@@ -455,7 +392,6 @@ Status Engine::run() {
   running_ = false;
   bool dead = false;
   for (const auto& a : actors_) {
-    if (a->stackless()) continue;  // no stack, nothing ever blocks
     if (!a->finished()) {
       dead = true;
       SPLAP_WARN(now_, "deadlock: actor %d (%s) blocked on: %s", a->id(),

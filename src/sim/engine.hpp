@@ -1,11 +1,24 @@
 // Deterministic discrete-event engine with cooperative actors.
 //
-// A simulated SP task is an Actor: user code runs on a dedicated OS thread so
+// A simulated SP task is an Actor: user code runs on its own fiber stack so
 // it can block naturally (LAPI_Waitcntr really blocks), but the engine admits
 // exactly ONE runnable entity at any instant — either one actor or one event
-// callback — via a single-word park/unpark handoff. Execution is therefore
+// callback. Every actor is a ucontext fiber on its engine's thread: an event
+// calls Actor::grant(), which switches onto the actor's stack, and the actor
+// switches back when it suspends or finishes. Execution is therefore
 // sequential, race-free and bit-reproducible while the public API looks like
 // a normal blocking communication library.
+//
+// Fiber rules:
+//  - Never suspend inside a catch handler. The C++ runtime keeps its
+//    caught-exception stack per OS thread, and every fiber of an engine
+//    shares that thread: a handler left open across a switch would be
+//    closed by whichever fiber next leaves a handler. Catch, leave the
+//    handler, then block. (Context::term and Comm::term absorb ActorKilled
+//    this way; their crash teardown after the handler never suspends.)
+//    SPLAP_AUDIT builds check this in suspend().
+//  - A fiber never migrates: it runs only on the thread that runs its
+//    engine.
 //
 // Virtual time only advances when the engine pops an event; actors charge
 // CPU work explicitly through Actor::compute(). Ties in the event queue break
@@ -21,7 +34,8 @@
 // single priority queue — and steady state never touches the allocator.
 #pragma once
 
-#include <atomic>
+#include <ucontext.h>
+
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -29,7 +43,6 @@
 #include <new>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -45,17 +58,16 @@ namespace splap::sim {
 
 class Engine;
 
-/// Thread-creation exhaustion surfaced from Engine::spawn: at high node
-/// counts pthread_create legitimately fails (address space for stacks,
-/// RLIMIT constraints) and callers need a recoverable error, not an uncaught
-/// std::system_error. Harness layers translate this into
-/// Status::kResourceExhausted.
+/// Stack exhaustion surfaced from Engine::spawn: at high node counts (or
+/// under an RLIMIT_AS cap) mmap can legitimately refuse another actor stack,
+/// and callers need a recoverable error, not a crash. Harness layers
+/// translate this into Status::kResourceExhausted.
 class SpawnError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
-/// A simulated task (or internal service thread). Create via Engine::spawn.
+/// A simulated task (or internal service actor). Create via Engine::spawn.
 class Actor {
  public:
   ~Actor();
@@ -69,18 +81,6 @@ class Actor {
   /// The node shard this actor belongs to (kNoShard when unsharded). Events
   /// the actor schedules inherit it; Engine::kill_shard tears down by it.
   int shard() const { return shard_; }
-
-  /// Stackless (handler-mode) actors run inline on the dispatching thread
-  /// and must never block: suspend/wait/compute abort with a contract
-  /// message. See DESIGN.md "Stackless actors".
-  bool stackless() const { return stackless_; }
-
-  /// Run `fn(*this)` inline under this actor's identity (Actor::current()
-  /// points here for the duration). Only valid on a stackless actor, from
-  /// event/handler context — this is how callback-style endpoints (service
-  /// pools, bench drivers) execute work attributed to the actor without an
-  /// OS-thread handoff.
-  void run_inline(const std::function<void(Actor&)>& fn);
 
   /// Current virtual time (engine clock).
   Time now() const;
@@ -109,67 +109,58 @@ class Actor {
   const char* block_reason() const { return block_reason_; }
 
   /// True while the engine is tearing this actor down (its stack is
-  /// unwinding). Destructors running on the actor thread must not block
+  /// unwinding). Destructors running on the actor's stack must not block
   /// (suspend would rethrow); libraries use this to degrade to best-effort
   /// cleanup.
   bool poisoned() const;
 
  private:
   friend class Engine;
+  /// Maps the actor's stack; throws SpawnError when the OS refuses it.
   Actor(Engine& engine, int id, int shard, std::string name,
         std::function<void(Actor&)> body);
-  struct StacklessTag {};
-  Actor(Engine& engine, int id, int shard, std::string name,
-        std::function<void(Actor&)> body, StacklessTag);
 
-  void thread_main(std::function<void(Actor&)> body);
-  // Called on the engine thread: hand execution to the actor, return when
-  // it suspends or finishes. Stackless actors run their body inline here
-  // instead of unparking a thread.
+  // makecontext entry point: runs the body of Actor::current(), then leaves
+  // the fiber for good.
+  static void fiber_main();
+  void run_body();
+  // Called off the actor's stack (an event, or engine teardown): switch onto
+  // the fiber and return when it suspends or finishes. Saves and restores
+  // Actor::current(), unmaps a finished actor's stack, and rethrows an
+  // exception that escaped the body.
   void grant();
-  // Block the calling thread until the owner half of `turn_` equals `want`.
-  // Three phases: an adaptive bounded spin (useful only with >1 usable
-  // CPU), a short yield loop (lets the partner's timeslice run on a
-  // loaded or single-CPU machine without a futex round trip), then a futex
-  // park. The parked bit tells the handing-over side whether a wake syscall
-  // is needed at all.
-  void park_until(std::uint32_t want);
-  // Release the control token to `next` (kEngineHasControl or
-  // kActorHasControl) and wake the partner only if it actually parked.
-  void hand_to(std::uint32_t next);
-
-  // Ownership token for the single-runnable-entity invariant. Exactly one
-  // side (dispatcher or actor thread) holds control at any instant; all
-  // other Actor fields are only touched by the side that holds it, so the
-  // release-store/acquire-load pair on this word is the only synchronization
-  // the handoff needs. Bit 1 is set by a waiter that is about to park on the
-  // futex; the handoff exchange clears it and elides the notify syscall when
-  // it was never set (the partner is spinning or yielding).
-  static constexpr std::uint32_t kEngineHasControl = 0;
-  static constexpr std::uint32_t kActorHasControl = 1;
-  static constexpr std::uint32_t kOwnerMask = 1;
-  static constexpr std::uint32_t kParkedBit = 2;
+  // Called on the actor's stack: switch back to whoever granted.
+  void switch_out();
+  // Poison and grant once, so a pending suspend() throws and the stack
+  // unwinds; late failures are dropped.
+  void kill();
+  void release_stack();
 
   Engine& engine_;
   const int id_;
   const int shard_;
-  const bool stackless_;
   const std::string name_;
   const char* block_reason_ = "not started";
 
-  std::atomic<std::uint32_t> turn_{kEngineHasControl};
   bool finished_ = false;
+  bool running_ = false;       // inside grant(): on its own stack right now
   bool wake_pending_ = false;  // coalesces redundant wakeups
   bool poisoned_ = false;      // engine teardown: unwind on next suspend
-  // Adaptive handoff spin bounds (-1: unset), indexed by the awaited owner
-  // value. Two slots because the two sides' park_until calls can overlap for
-  // an instant at the handoff boundary (the waker is still inside its own
-  // park_until epilogue when the woken side parks again), and each side only
-  // ever waits for its own distinct owner value.
-  int spin_budget_[2] = {-1, -1};
+  bool timer_fired_ = false;   // compute()'s timer has expired
   std::exception_ptr failure_;
-  std::function<void(Actor&)> stackless_body_;  // stackless actors only
-  std::thread thread_;
+  std::function<void(Actor&)> body_;  // moved onto the fiber when it starts
+
+  // The fiber. stack_ is the whole mapping, a PROT_NONE guard page at the
+  // low end included; nullptr once released.
+  char* stack_ = nullptr;
+  std::size_t stack_bytes_ = 0;
+  ucontext_t fiber_ctx_{};   // resumes the actor
+  ucontext_t caller_ctx_{};  // resumes whoever granted
+  // Sanitizer fiber bookkeeping; stays null in uninstrumented builds.
+  const void* caller_stack_lo_ = nullptr;  // ASan: the granter's stack
+  std::size_t caller_stack_bytes_ = 0;
+  void* tsan_fiber_ = nullptr;   // TSan: this fiber
+  void* tsan_caller_ = nullptr;  // TSan: the granter
 };
 
 class Engine {
@@ -235,23 +226,15 @@ class Engine {
     commit(t, shard, n);
   }
 
-  /// Create a thread-backed actor whose body starts executing at the current
-  /// time. The actor inherits the scheduling context's shard. Throws
-  /// SpawnError when the OS refuses another thread.
+  /// Create an actor whose body starts executing at the current time. The
+  /// actor inherits the scheduling context's shard. Throws SpawnError when
+  /// the OS refuses another actor stack.
   Actor& spawn(std::string name, std::function<void(Actor&)> body);
 
   /// spawn pinned to node shard `shard` (the SPMD harness pins each task to
   /// its node so kill_shard tears it down with the node).
   Actor& spawn_on(int shard, std::string name,
                   std::function<void(Actor&)> body);
-
-  /// Create a stackless (handler-mode) actor: no OS thread, no stack — the
-  /// body runs inline on the dispatching thread at the current virtual time
-  /// and must never block (suspend aborts). With a null body the actor is a
-  /// persistent identity for run_inline callbacks (service endpoints). This
-  /// is what lets one process hold 10^5..10^6 protocol endpoints.
-  Actor& spawn_stackless(int shard, std::string name,
-                         std::function<void(Actor&)> body);
 
   /// Make `a` runnable again at the current time. Safe to call when the
   /// actor is running or already woken (coalesced into one resume).
@@ -272,12 +255,12 @@ class Engine {
   void shutdown();
 
   /// Crash-stop one node: poison and unwind every unfinished actor pinned to
-  /// node shard `shard`, at the current virtual time. Threaded actors unwind
-  /// on their next resume (RAII runs, so libraries see poisoned() and take
-  /// their best-effort teardown path); stackless actors are marked finished
-  /// in place. Actors spawned on the shard afterwards (a restart) start with
-  /// a clean slate. Must be called from event context mid-run — every actor
-  /// is parked then — or between runs. Idempotent per actor.
+  /// node shard `shard`, at the current virtual time. Each unwinds on its
+  /// own stack right away (RAII runs, so libraries see poisoned() and take
+  /// their best-effort teardown path); one never granted never starts its
+  /// body. Actors spawned on the shard afterwards (a restart) start with a
+  /// clean slate. Must be called from event context mid-run — every actor
+  /// is suspended then — or between runs. Idempotent per actor.
   void kill_shard(int shard);
 
   /// Instrumentation counters shared machine-wide.
@@ -597,9 +580,6 @@ class Engine {
   /// Shard of the current scheduling context (the acting actor, else the
   /// dispatching event). Spawned actors inherit it.
   int context_shard() const;
-
-  Actor& spawn_impl(int shard, std::string name,
-                    std::function<void(Actor&)> body, bool stackless);
 
   /// Dispatch one already-popped event (sets now_, runs, recycles the node;
   /// exceptions propagate after the node is released).

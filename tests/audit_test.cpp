@@ -11,6 +11,8 @@
 // recycling call — not at the downstream trace corruption.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "base/audit.hpp"
 #include "base/pool.hpp"
 #include "net/fabric.hpp"
@@ -35,7 +37,8 @@ using sim::Engine;
 class AuditDeathTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Child processes re-execute the binary: safe with live actor threads.
+    // Child processes re-execute the binary, so each death statement starts
+    // from a fresh process.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   }
 };
@@ -121,6 +124,31 @@ void run_full_drain_wave(bool legacy_recycle) {
 TEST_F(AuditDeathTest, LegacyFullDrainDoubleRecycleIsCaught) {
   run_full_drain_wave(/*legacy_recycle=*/false);  // fixed code: silent
   EXPECT_DEATH(run_full_drain_wave(/*legacy_recycle=*/true), "splap-audit");
+}
+
+// ---------------------------------------------------------------------------
+// Fiber rule: never suspend inside a catch handler
+// ---------------------------------------------------------------------------
+
+void catch_then_compute(bool inside_handler) {
+  Engine e;
+  e.spawn("catcher", [inside_handler](Actor& self) {
+    bool caught = false;
+    try {
+      throw std::runtime_error("handled");
+    } catch (const std::runtime_error&) {
+      caught = true;
+      if (inside_handler) self.compute(microseconds(1));
+    }
+    if (caught) self.compute(microseconds(1));
+  });
+  (void)e.run();
+}
+
+TEST_F(AuditDeathTest, SuspendInsideCatchHandlerAborts) {
+  catch_then_compute(/*inside_handler=*/false);  // handler closed: silent
+  EXPECT_DEATH(catch_then_compute(/*inside_handler=*/true),
+               "splap-audit: actor suspended inside a catch handler");
 }
 
 // ---------------------------------------------------------------------------

@@ -3,15 +3,12 @@
 //  - a 1024-node LAPI smoke with the end-to-end flow-control armed (bounded
 //    RX queues + per-peer credit windows): dissemination barrier, then a
 //    put/get ring, every byte exactly-once;
-//  - the Engine::spawn exhaustion path: thread-creation failure at high node
-//    counts surfaces as Status::kResourceExhausted, not a std::system_error;
-//  - stackless completion-handler pools produce the same results as the
-//    thread-backed default.
+//  - the Engine::spawn exhaustion path: a refused actor stack at high node
+//    counts surfaces as Status::kResourceExhausted, not a crash.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -47,10 +44,6 @@ net::Machine::Config scale_machine(int tasks) {
 Config scale_lapi_config() {
   Config lc;
   lc.credit_window = 32;
-  // One OS thread per node is the budget at 1024 nodes; completion
-  // handlers run stackless (none of the library's own completion jobs
-  // block, see DESIGN.md "stackless actors").
-  lc.stackless_completions = true;
   return lc;
 }
 
@@ -115,56 +108,6 @@ TEST(ScaleTest, Smoke1024NodesBarrierPutGetExactlyOnce) {
   EXPECT_EQ(m.engine().counters().get("lapi.failed_ops"), 0);
 }
 
-TEST(ScaleTest, StacklessCompletionPoolMatchesThreaded) {
-  // An amsend ring whose completion handlers run on the service pool —
-  // the one LAPI path that actually exercises SvcPool. Results must not
-  // depend on whether the pool is thread-backed or stackless.
-  auto run = [](bool stackless) {
-    constexpr int kTasks = 8;
-    net::Machine m(testing::machine_config(kTasks));
-    std::vector<int> completions(kTasks, 0);
-    std::vector<std::byte> landing(
-        static_cast<std::size_t>(kTasks) * 64);
-    Config lc;
-    lc.stackless_completions = stackless;
-    EXPECT_EQ(
-        run_lapi(m, lc,
-                 [&](Context& ctx) {
-                   const int me = ctx.task_id();
-                   const AmHandlerId h = ctx.register_handler(
-                       [&landing, &completions, me](
-                           Context&, const AmDelivery&) -> AmReply {
-                         AmReply r;
-                         r.buffer =
-                             landing.data() +
-                             static_cast<std::size_t>(me) * 64;
-                         r.completion = [&completions, me](Context&,
-                                                           sim::Actor&) {
-                           ++completions[static_cast<std::size_t>(me)];
-                         };
-                         return r;
-                       });
-                   EXPECT_EQ(ctx.gfence(), Status::kOk);
-                   std::vector<std::byte> data(64, std::byte{0x5A});
-                   Counter cmpl;
-                   EXPECT_EQ(ctx.amsend((me + 1) % kTasks, h, {}, data,
-                                        nullptr, nullptr, &cmpl),
-                             Status::kOk);
-                   EXPECT_EQ(ctx.waitcntr(cmpl, 1), Status::kOk);
-                 }),
-        Status::kOk);
-    std::ostringstream os;
-    for (int c : completions) os << c << ",";
-    os << " now=" << m.engine().now();
-    os << " put=" << m.engine().counters().get("lapi.pkts_rx");
-    return os.str();
-  };
-  const std::string threaded = run(false);
-  const std::string stackless = run(true);
-  EXPECT_EQ(threaded, stackless);
-  EXPECT_EQ(threaded.substr(0, 16), "1,1,1,1,1,1,1,1,");
-}
-
 #if defined(__unix__) && !defined(__SANITIZE_ADDRESS__) && \
     !defined(__SANITIZE_THREAD__) && !__has_feature(address_sanitizer) && \
     !__has_feature(thread_sanitizer)
@@ -182,7 +125,7 @@ TEST(ScaleTest, SpawnExhaustionSurfacesAsResourceExhausted) {
   const std::int64_t vm = current_vm_bytes();
   if (vm < 0) GTEST_SKIP() << "no /proc/self/statm on this host";
   net::Machine::Config mc;
-  mc.tasks = 64;  // needs ~512 MB of thread stacks; the cap allows ~64 MB
+  mc.tasks = 64;  // needs ~512 MB of actor stacks; the cap allows ~64 MB
   net::Machine m(mc);
   struct rlimit old_as;
   ASSERT_EQ(getrlimit(RLIMIT_AS, &old_as), 0);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -9,6 +11,19 @@
 
 namespace splap::sim {
 namespace {
+
+/// Recurse `depth` frames of 4 KB each (a volatile buffer the compiler must
+/// keep), block at the bottom, and return the number of frames.
+int deep_frames(Actor& self, int depth) {
+  volatile char frame[4096];
+  frame[0] = 1;
+  frame[sizeof frame - 1] = 1;
+  if (depth == 0) {
+    self.compute(microseconds(1));
+    return frame[0];
+  }
+  return deep_frames(self, depth - 1) + frame[sizeof frame - 1];
+}
 
 TEST(EngineTest, EventsRunInTimeOrder) {
   Engine eng;
@@ -230,6 +245,98 @@ TEST(EngineTest, SpawnFromActor) {
   });
   EXPECT_EQ(eng.run(), Status::kOk);
   EXPECT_TRUE(child_ran);
+}
+
+TEST(EngineTest, ActorBodyMayUseMegabytesOfStack) {
+  // An actor gets a thread-sized stack: about 2 MB of live frames across a
+  // suspend must fit (GA kernels keep large frames while they block).
+  Engine eng;
+  int frames = 0;
+  eng.spawn("deep", [&](Actor& self) { frames = deep_frames(self, 512); });
+  EXPECT_EQ(eng.run(), Status::kOk);
+  EXPECT_EQ(frames, 513);
+  EXPECT_EQ(eng.now(), microseconds(1));
+}
+
+TEST(EngineTest, HandledExceptionsSurviveInterleavedActors) {
+  // Every actor shares its engine's thread, and with it the C++ runtime's
+  // per-thread exception state. Actors that throw and catch, then suspend
+  // after leaving the handler, must not disturb each other or the engine.
+  Engine eng;
+  std::vector<std::string> caught;
+  for (int i = 0; i < 2; ++i) {
+    eng.spawn("catcher" + std::to_string(i), [&caught, i](Actor& self) {
+      for (int round = 0; round < 3; ++round) {
+        std::string what;
+        try {
+          throw std::runtime_error(std::to_string(i) + ":" +
+                                   std::to_string(round));
+        } catch (const std::runtime_error& e) {
+          what = e.what();
+        }
+        self.compute(microseconds(1));
+        EXPECT_EQ(std::current_exception(), nullptr);
+        EXPECT_EQ(std::uncaught_exceptions(), 0);
+        caught.push_back(what);
+      }
+    });
+  }
+  eng.spawn("thrower", [](Actor& self) {
+    self.compute(microseconds(10));
+    throw std::logic_error("escaped the body");
+  });
+  try {
+    (void)eng.run();
+    ADD_FAILURE() << "run() returned instead of rethrowing";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "escaped the body");
+  }
+  EXPECT_EQ(caught, (std::vector<std::string>{"0:0", "1:0", "0:1", "1:1",
+                                              "0:2", "1:2"}));
+}
+
+TEST(EngineTest, ShutdownUnwindsSuspendedActorStacks) {
+  bool unwound = false;
+  bool poisoned_while_unwinding = false;
+  bool late_started = false;
+  {
+    Engine eng;
+    eng.spawn("blocked", [&](Actor& self) {
+      struct Guard {
+        Actor& self;
+        bool& unwound;
+        bool& poisoned;
+        ~Guard() {
+          unwound = true;
+          poisoned = self.poisoned();
+        }
+      } guard{self, unwound, poisoned_while_unwinding};
+      self.wait([] { return false; }, "forever");
+    });
+    EXPECT_EQ(eng.run(), Status::kDeadlock);
+    // Spawned between runs: its first grant is queued but never dispatched.
+    eng.spawn("late", [&](Actor&) { late_started = true; });
+    EXPECT_FALSE(unwound);
+  }
+  EXPECT_TRUE(unwound);
+  EXPECT_TRUE(poisoned_while_unwinding);
+  EXPECT_FALSE(late_started);
+}
+
+TEST(EngineTest, KillShardMidComputeLeavesTimerHarmless) {
+  // The victim's stack is unmapped once it unwinds; the compute timer it
+  // left queued still fires afterwards and must touch nothing on it.
+  Engine eng;
+  bool resumed = false;
+  eng.spawn_on(3, "victim", [&](Actor& self) {
+    self.compute(microseconds(100));
+    resumed = true;
+  });
+  eng.schedule_at(microseconds(10), [&] { eng.kill_shard(3); });
+  EXPECT_EQ(eng.run(), Status::kOk);
+  EXPECT_FALSE(resumed);
+  EXPECT_TRUE(eng.actors()[0]->finished());
+  EXPECT_EQ(eng.now(), microseconds(100));
 }
 
 }  // namespace

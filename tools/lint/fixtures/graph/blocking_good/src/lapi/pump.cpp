@@ -1,6 +1,5 @@
 // The legal shapes: an actor body may suspend freely; a handler may reach a
-// guarded dual-mode call when the guarded edge carries an allow annotation;
-// a stackless body that never suspends is fine.
+// guarded dual-mode call when the guarded edge carries an allow annotation.
 #include "sim/engine.hpp"
 
 namespace splap::lapi {
@@ -20,9 +19,6 @@ void run(sim::Engine& eng, sim::Actor* a) {
   });
   eng.schedule_after(10, [a] {
     charge(a, 5);  // reaches compute only through the annotated guard
-  });
-  eng.spawn_stackless("poller", [a] {
-    (void)a;  // no suspension here: stays clean
   });
 }
 

@@ -18,8 +18,6 @@ class Engine {
   void schedule_after(Time d, F f) { (void)d; f(); }
   template <class F>
   void spawn(const char* name, F f) { (void)name; (void)f; }
-  template <class F>
-  void spawn_stackless(const char* name, F f) { (void)name; (void)f; }
 };
 
 }  // namespace splap::sim

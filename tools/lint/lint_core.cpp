@@ -27,10 +27,11 @@ bool in_trace_dirs(std::string_view rel) {
 }
 
 /// The layers above the engine: all concurrency there is virtual (actors
-/// suspend, events order effects). Only src/sim and src/base may own real
-/// threads, locks or atomics — the engine's actor handoff, and the
-/// process-wide state (slab cache, log) that the sweep driver's
-/// machine-per-thread runs share.
+/// suspend, events order effects). Only src/sim and src/base may use real
+/// locks, atomics or thread-locals. The engine owns no thread (its actors
+/// are fibers on the caller's thread); the only OS threads belong to the
+/// sweep driver, whose machine-per-thread runs share process-wide state
+/// (slab cache, log) and keep one current actor per thread.
 bool in_protocol_layers(std::string_view rel) {
   return starts_with(rel, "src/net/") || starts_with(rel, "src/lapi/") ||
          starts_with(rel, "src/mpl/") || starts_with(rel, "src/ga/");

@@ -138,9 +138,9 @@ TEST(LintRules, OsSyncFiresOnEachBadLine) {
 TEST(LintRules, OsSyncQuietOnVirtualCodeAndBelowProtocolLayers) {
   EXPECT_TRUE(
       scan_source("src/lapi/x.cc", fixture("good_os_sync.cc")).empty());
-  // The engine layer owns the real threads (the actor handoff; the sweep
-  // driver runs whole machines on threads): the same primitives are legal
-  // under src/sim and src/base.
+  // The engine owns no thread, but the sweep driver runs whole machines on
+  // OS threads that share process-wide state below the protocol layers: the
+  // same primitives are legal under src/sim and src/base.
   EXPECT_TRUE(
       scan_source("src/sim/x.cc", fixture("bad_os_sync.cc")).empty());
   EXPECT_TRUE(
