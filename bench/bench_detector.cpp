@@ -19,8 +19,8 @@
 //
 // All numbers are virtual-time deterministic (fixed seeds, no wall clock in
 // the measured path), so runs are reproducible byte-for-byte. Emits
-// BENCH_detector.json (override with --json_out=PATH); the schema tag and
-// series-name set are pinned by scripts/golden_check.sh.
+// BENCH_detector.json (override with --json_out=PATH); scripts/
+// golden_check.sh diffs it against tests/golden/detector.json.
 #include <cstdio>
 #include <cstring>
 #include <string>

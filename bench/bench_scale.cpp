@@ -1,8 +1,8 @@
 // Engine scale-out benchmark: events/sec and packets/sec versus node count,
 // actor driver versus event driver, with the identical virtual traffic
-// pattern in both. These are meta-benchmarks of the simulator (like
-// bench_engine_perf), answering the question: how many simulated SP nodes
-// can one process drive, and what does an actor cost over a bare event?
+// pattern in both. These are meta-benchmarks of the simulator, answering
+// the question: how many simulated SP nodes can one process drive, and what
+// does an actor cost over a bare event?
 //
 // Traffic: every node sends `kPacketsPerNode` full packets to its right
 // neighbour, one per simulated microsecond. The actor driver runs one actor

@@ -30,8 +30,9 @@
 #   partition  the partition / gray-failure harness (tests labelled
 #              `partition`): asymmetric blackholes, split/merge of partition
 #              groups, stragglers under legacy-vs-accrual detection, the
-#              detector math units and the flap-leak test — run optimized,
-#              under ASan+UBSan, and under SPLAP_AUDIT
+#              detector math units, the flap-leak test and the transport
+#              suite's corroboration cases — run optimized, under
+#              ASan+UBSan, and under SPLAP_AUDIT
 #   rdma       the zero-copy transfer path (tests labelled `rdma`): protocol
 #              selection, registration-cache lifecycle (LRU, epoch bumps),
 #              scatter-direct assembly, FakeWire exactly-once under loss and

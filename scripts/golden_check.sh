@@ -13,13 +13,12 @@
 #                bandwidths depend on the rdma cost constants, so the guard
 #                pins schema, series-name set, and crossover keys, not bytes
 #   detector     BENCH_detector.json sweeps legacy-vs-accrual detection over
-#                crash and straggler scenarios; latencies depend on detector
-#                tuning, so the guard pins schema and series names, not bytes
-#   engine perf  BENCH_engine.json carries wall-clock timings that legitimately
-#                vary run to run, so the guard pins its schema and benchmark
-#                name set, not its bytes
-#   scale        BENCH_scale.json likewise: schema + run-name set pinned, plus
-#                one ratio that is a hard claim rather than a timing — at
+#                crash and straggler scenarios (probes, suspicion, heal, both
+#                kinds of death verdict); pure virtual time, so its bytes are
+#                pinned like the text outputs
+#   scale        BENCH_scale.json carries wall-clock packet rates, so the
+#                guard pins schema + run-name set, plus one ratio that is a
+#                hard claim rather than a timing — at
 #                1024 nodes a bare event chain moves packets at most 25x
 #                faster than one actor per node (event_over_actor_1024 <= 25).
 #                The ceiling fails if actors ever cost an OS thread each
@@ -28,8 +27,9 @@
 #                only means something on an optimized build.
 #
 # Usage: scripts/golden_check.sh <build-dir>
-# Re-baselining (only after an intentional behavior change): re-run the three
-# binaries and overwrite tests/golden/*.txt with their output.
+# Re-baselining (only after an intentional behavior change): re-run the
+# binaries and overwrite tests/golden/*.txt and detector.json with their
+# output.
 set -euo pipefail
 BUILD_DIR="${1:?usage: golden_check.sh <build-dir>}"
 cd "$(dirname "$0")/.."
@@ -64,28 +64,9 @@ for key in crossover_eager_to_rendezvous_bytes \
     || { echo "missing key $key in BENCH_rdma.json"; exit 1; }
 done
 
-echo "-- detector schema"
-"$BUILD_DIR"/bench/bench_detector --json_out="$TMP/BENCH_detector.json" \
-  > /dev/null
-grep -q '"schema": "splap-detector-v1"' "$TMP/BENCH_detector.json"
-for name in legacy_crash accrual_crash \
-            legacy_straggler_x1 accrual_straggler_x1 \
-            legacy_straggler_x8 accrual_straggler_x8 \
-            legacy_straggler_x30 accrual_straggler_x30 \
-            legacy_straggler_x120 accrual_straggler_x120; do
-  grep -q "\"name\": \"$name\"" "$TMP/BENCH_detector.json" \
-    || { echo "missing series $name in BENCH_detector.json"; exit 1; }
-done
-
-echo "-- engine perf schema"
-"$BUILD_DIR"/bench/bench_engine_perf --json_out="$TMP/BENCH_engine.json" \
-  > /dev/null
-grep -q '"schema": "splap-bench-v1"' "$TMP/BENCH_engine.json"
-for name in BM_EngineEventThroughput BM_ActorHandoff BM_FabricPacketRate \
-            BM_LapiPutMessageRate; do
-  grep -q "\"$name" "$TMP/BENCH_engine.json" \
-    || { echo "missing benchmark $name in BENCH_engine.json"; exit 1; }
-done
+echo "-- detector"
+"$BUILD_DIR"/bench/bench_detector --json_out="$TMP/detector.json" > /dev/null
+diff -u "$GOLD/detector.json" "$TMP/detector.json"
 
 echo "-- scale schema"
 "$BUILD_DIR"/bench/bench_scale --json_out="$TMP/BENCH_scale.json" > /dev/null

@@ -424,12 +424,6 @@ Time Context::process_packet(net::Packet& pkt) {
     send_.on_peer_reborn(pkt.src, m.epoch);
   }
   send_.note_heard(pkt.src);
-  if (!death_reports_.empty()) {
-    // Any authenticated contact from the peer refutes the accrual gossip
-    // collected against it so far: restart the corroboration count rather
-    // than let ancient suspicions combine with fresh ones into a verdict.
-    death_reports_.erase(pkt.src);
-  }
   switch (m.kind) {
     case PktKind::kAck: return send_.on_ack(pkt);
     case PktKind::kRmwResp: return send_.on_rmw_resp(pkt);
@@ -478,7 +472,6 @@ void Context::on_peer_failed(int peer, bool direct) {
   // Completed-message dedup markers stay: the verdict may be congestion
   // misjudged as death, and exactly-once delivery must survive a reconnect.
   assembly_.reclaim_peer_partials(peer);
-  death_reports_.erase(peer);
   // Deliver the LAPI_Init-registered error handler on the completion-thread
   // pool, exactly once per failure latch, like any completion handler would
   // run (never inline under the dispatcher).
@@ -505,18 +498,9 @@ void Context::note_peer_death(int peer, bool direct, int reporter) {
     send_.fail_peer(peer);
     return;
   }
-  // Circumstantial evidence (accrual escalation somewhere else). A single
-  // partitioned observer must not be able to split-brain the membership:
-  // require suspicion_quorum distinct observers, counting our own live
-  // suspicion of the peer as one vote, before the verdict latches here.
-  auto& reps = death_reports_[peer];
-  reps.insert(reporter);
-  const int votes = static_cast<int>(reps.size()) +
-                    (send_.peer_suspected(peer) ? 1 : 0);
-  if (votes >= config_.suspicion_quorum) {
-    death_reports_.erase(peer);
-    send_.fail_peer(peer, /*direct=*/false);
-  }
+  // Circumstantial evidence (accrual escalation somewhere else): only a
+  // vote toward the corroboration quorum.
+  send_.note_death_report(peer, reporter);
 }
 
 }  // namespace splap::lapi

@@ -37,7 +37,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -232,8 +231,8 @@ class Context : private ProgressEngine::Sink, private AssemblyEngine::Env {
   /// membership channel). A direct verdict latches immediately; an
   /// accrual-only verdict is only corroboration — it latches once distinct
   /// observers (reporters plus this task's own suspicion) reach
-  /// Config::suspicion_quorum, so one partitioned observer cannot
-  /// split-brain a healthy task.
+  /// kSuspicionQuorum (SendEngine::note_death_report), so one partitioned
+  /// observer cannot split-brain a healthy task.
   void note_peer_death(int peer, bool direct, int reporter);
   /// Fan a death verdict out to every attached context on the machine
   /// (collectives.cpp — rides the Universe registry).
@@ -264,11 +263,6 @@ class Context : private ProgressEngine::Sink, private AssemblyEngine::Env {
   std::int64_t barrier_seq_ = 0;
   std::map<std::pair<std::int64_t, int>, int> barrier_got_;
   std::int64_t xchg_seq_ = 0;
-
-  /// Accrual-only death gossip awaiting corroboration: peer -> the distinct
-  /// tasks that reported it dead on suspicion alone. Cleared when the peer
-  /// is heard from (the reports were describing a partition, not a death).
-  std::map<int, std::set<int>> death_reports_;
 };
 
 }  // namespace splap::lapi

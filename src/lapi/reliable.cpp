@@ -1,6 +1,7 @@
 #include "lapi/reliable.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "base/checksum.hpp"
 #include "base/log.hpp"
@@ -102,14 +103,13 @@ SendEngine::SendEngine(net::Delivery& wire, ProgressEngine& progress,
       config_(config),
       checksums_(checksums),
       selector_(config, task_id),
-      credits_(config.credit_window),
+      credit_window_(config.credit_window),
       channel_(progress.engine(), *this,
                RetryPolicy{config.retransmit_timeout, config.max_retries,
                            config.adaptive_timeout, config.adaptive_timeout,
-                           config.rto_min, config.rto_max,
-                           config.backoff_jitter},
+                           kRtoMin, kRtoMax, kBackoffJitter},
                "lapi",
-               config.jitter_seed ^
+               kJitterSeed ^
                    (static_cast<std::uint64_t>(task_id) * 0x9e3779b9ULL),
                progress.alive()),
       accrual_enabled_(config.keepalive_interval > 0 &&
@@ -147,16 +147,19 @@ void SendEngine::submit(PktKind kind, int target,
     }
   }
   const Time copy_in_call = xfer.call_copy + xfer.pin_cost;
+  PeerState& p = peer_state(target);
   // Loopback traffic never competes for a peer's adapter buffering, so the
   // credit gate only governs remote targets.
-  const bool flow = credits_.enabled() && target != task_id_;
+  const bool flow = credit_window_ > 0 && target != task_id_;
   const std::int64_t pkts = flow ? packet_count(kind, *hdr, len) : 1;
+  const auto admits = [this, &p, pkts] {
+    return p.credit_waitq.empty() && has_credits(p, pkts);
+  };
 
   Time inject_at;
   bool park_for_credits = false;
   if (sim::Actor* a = sim::Actor::current()) {
-    if (flow && suspected_.count(target) == 0 &&
-        !(credits_.can_send(target, pkts) && credit_waitq_.count(target) == 0)) {
+    if (flow && p.liveness != PeerState::Liveness::kSuspected && !admits()) {
       // Backpressure: the call parks until the peer's credit pool can admit
       // this message (and no earlier handler-context send is queued ahead).
       // Credits released by any record reclamation notify() the waiters.
@@ -165,14 +168,11 @@ void SendEngine::submit(PktKind kind, int target,
       engine.counters().bump("lapi.credit_stalls");
       // splap-graph: allow(blocking-reachability): inside the
       // Actor::current() branch — handler-context sends park in
-      // credit_waitq_ (park_for_credits below) instead of blocking.
+      // credit_waitq (park_for_credits below) instead of blocking.
       a->wait(
-          [this, a, target, pkts] {
-            if (suspected_.count(target) != 0) return true;  // quarantine
-            if (credits_.can_send(target, pkts) &&
-                credit_waitq_.count(target) == 0) {
-              return true;
-            }
+          [this, a, &p, admits] {
+            if (p.liveness == PeerState::Liveness::kSuspected) return true;
+            if (admits()) return true;
             progress_.waiters().add(*a);
             return false;
           },
@@ -193,9 +193,7 @@ void SendEngine::submit(PktKind kind, int target,
     progress_.set_busy_until(inject_at);
     // A handler must not block: an over-window send is queued per peer and
     // started by drain_credit_waitq when credits return.
-    park_for_credits =
-        flow && !(credits_.can_send(target, pkts) &&
-                  credit_waitq_.count(target) == 0);
+    park_for_credits = flow && !admits();
   }
 
   SendRecord rec;
@@ -239,14 +237,14 @@ void SendEngine::submit(PktKind kind, int target,
     }
   }
 
-  if (target != task_id_ && suspected_.count(target) != 0) {
+  if (p.liveness == PeerState::Liveness::kSuspected) {
     // Suspected peer: quarantine instead of transmitting — no credit lease,
     // no timer, so neither the retry budget nor the credit window is spent
     // on a peer that may be behind a partition. heal_peer restarts the
     // record on any contact; fail_peer fails it over with kPeerFailed.
     sends_.at(id).queued = true;
     engine.counters().bump("lapi.quarantined");
-    suspectq_[target].push_back(id);
+    p.suspectq.push_back(id);
     return;
   }
   if (park_for_credits) {
@@ -256,10 +254,10 @@ void SendEngine::submit(PktKind kind, int target,
     // queue; a full pool admits any message (including over-window ones).
     sends_.at(id).queued = true;
     engine.counters().bump("lapi.credit_queued");
-    credit_waitq_[target].push_back(id);
+    p.credit_waitq.push_back(id);
     return;
   }
-  if (flow) lease_credits(sends_.at(id));
+  if (flow) lease_credits(p, sends_.at(id));
 
   if (inject_at <= engine.now()) {
     transmit_packets(sends_.at(id));
@@ -292,8 +290,8 @@ std::int64_t SendEngine::packet_count(PktKind kind, const WireMeta& hdr,
   return frag_plan(kind, hdr, len, progress_.cost()).packets;
 }
 
-void SendEngine::lease_credits(SendRecord& rec) {
-  credits_.consume(rec.target, rec.pkts);
+void SendEngine::lease_credits(PeerState& p, SendRecord& rec) {
+  p.credits -= rec.pkts;
   rec.credits_held = rec.pkts;
   rec.credits_granted = 0;
 #ifdef SPLAP_AUDIT
@@ -308,17 +306,18 @@ void SendEngine::credit_return(SendRecord& rec, std::int64_t n) {
 #endif
   n = std::min(n, rec.credits_held);
   rec.credits_held -= n;
-  credits_.release(rec.target, n);
+  PeerState& p = peer_state(rec.target);
+  p.credits += n;
 #ifdef SPLAP_AUDIT
   if (rec.credits_held == 0) {
     credit_ledger_.remove(&rec, "SendEngine::credit_return");
   }
-  if (credits_.available(rec.target) > credits_.window()) {
+  if (p.credits > credit_window_) {
     audit::fail("credit pool above its window (over-release)",
                 "SendEngine::credit_return", &rec);
   }
 #endif
-  drain_credit_waitq(rec.target);
+  drain_credit_waitq(p);
   progress_.notify();  // parked actor-context senders re-evaluate
 }
 
@@ -334,26 +333,21 @@ void SendEngine::apply_grant(SendRecord& rec, std::int64_t granted) {
   credit_return(rec, fresh);
 }
 
-void SendEngine::drain_credit_waitq(int peer) {
+void SendEngine::drain_credit_waitq(PeerState& p) {
   // A suspected peer's parked sends stay parked — credits returning must not
   // restart traffic into a quarantine; heal_peer drains this queue instead.
-  if (suspected_.count(peer) != 0) return;
-  auto qit = credit_waitq_.find(peer);
-  if (qit == credit_waitq_.end()) return;
+  if (p.liveness == PeerState::Liveness::kSuspected) return;
   sim::Engine& engine = progress_.engine();
   const CostModel& cm = progress_.cost();
-  auto& q = qit->second;
-  while (!q.empty()) {
-    auto it = sends_.find(q.front());
-    if (it == sends_.end()) {  // reclaimed while parked
-      q.pop_front();
-      continue;
-    }
+  auto& q = p.credit_waitq;
+  std::size_t started = 0;  // prefix already started (or reclaimed)
+  for (; started < q.size(); ++started) {
+    auto it = sends_.find(q[started]);
+    if (it == sends_.end()) continue;  // reclaimed while parked
     SendRecord& rec = it->second;
-    if (!credits_.can_send(peer, rec.pkts)) break;
-    q.pop_front();
+    if (!has_credits(p, rec.pkts)) break;
     rec.queued = false;
-    lease_credits(rec);
+    lease_credits(p, rec);
     // Start it as any handler-context send: behind the dispatcher's
     // current work.
     const std::int64_t id = it->first;
@@ -374,7 +368,7 @@ void SendEngine::drain_credit_waitq(int peer) {
     }
     arm_initial(id, len);
   }
-  if (q.empty()) credit_waitq_.erase(qit);
+  q.erase(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(started));
 }
 
 void SendEngine::transmit_packets(const SendRecord& rec,
@@ -498,15 +492,17 @@ void SendEngine::give_up(std::int64_t id) {
 }
 
 void SendEngine::fail_peer(int peer, bool direct) {
-  const bool fresh = failed_peers_.insert(peer).second;
-  // Drop the parked queues first: failing a leased record returns credits,
-  // and the credit drain must not restart parked sends toward a dead peer.
+  PeerState& p = peer_state(peer);
+  const bool fresh = p.liveness != PeerState::Liveness::kFailed;
   // A suspected peer escalating to dead leaves the quarantine for good (its
   // parked records are failed over with everything else below).
-  credit_waitq_.erase(peer);
-  suspectq_.erase(peer);
-  suspected_.erase(peer);
-  accrual_.erase(peer);  // a future incarnation has its own rhythm
+  p.liveness = PeerState::Liveness::kFailed;
+  // Drop the parked queues first: failing a leased record returns credits,
+  // and the credit drain must not restart parked sends toward a dead peer.
+  // The balance itself is left alone: fail_send returns each lease.
+  p.credit_waitq.clear();
+  p.suspectq.clear();
+  p.forget_rhythm();  // a future incarnation has its own rhythm
   std::vector<std::int64_t> ids;
   for (const auto& [id, rec] : sends_) {
     if (rec.target == peer) ids.push_back(id);
@@ -520,12 +516,29 @@ void SendEngine::fail_peer(int peer, bool direct) {
   for (const std::int64_t id : ids) fail_send(id, Status::kPeerFailed);
   // Registrations toward a dead peer are gone with its adapter state.
   selector_.cache().invalidate_peer(peer);
-  health_.erase(peer);
-  if (fresh && peer_failure_hook_) peer_failure_hook_(peer, direct);
+  if (fresh) {
+    // Before the hook: its gossip can re-enter note_death_report, and those
+    // reports belong to the new latch.
+    p.death_reports.clear();
+    if (peer_failure_hook_) peer_failure_hook_(peer, direct);
+  }
   progress_.notify();
 }
 
+void SendEngine::note_death_report(int peer, int reporter) {
+  PeerState& p = peer_state(peer);
+  p.death_reports.insert(reporter);
+  const int votes =
+      static_cast<int>(p.death_reports.size()) +
+      (p.liveness == PeerState::Liveness::kSuspected ? 1 : 0);
+  if (votes >= kSuspicionQuorum) {
+    p.death_reports.clear();
+    fail_peer(peer, /*direct=*/false);
+  }
+}
+
 void SendEngine::on_peer_reborn(int peer, std::int64_t new_epoch) {
+  PeerState& p = peer_state(peer);
   // Only the records addressed to a dead incarnation fail over; sends the
   // origin already stamped with the new epoch stay live (the adoption was
   // very likely triggered by one of their acks).
@@ -535,24 +548,15 @@ void SendEngine::on_peer_reborn(int peer, std::int64_t new_epoch) {
       stale.push_back(id);
     }
   }
-  if (auto qit = credit_waitq_.find(peer); qit != credit_waitq_.end()) {
-    std::erase_if(qit->second, [&](std::int64_t id) {
-      auto it = sends_.find(id);
-      return it == sends_.end() || it->second.hdr_meta->dst_epoch < new_epoch;
-    });
-    if (qit->second.empty()) credit_waitq_.erase(qit);
-  }
-  if (auto sit = suspectq_.find(peer); sit != suspectq_.end()) {
-    // Quarantined records addressed to the dead incarnation fail over below
-    // (fail_send skips ids no longer queued here); new-epoch records stay
-    // parked — the note_heard that follows this adoption heals the peer and
-    // restarts them.
-    std::erase_if(sit->second, [&](std::int64_t id) {
-      auto it = sends_.find(id);
-      return it == sends_.end() || it->second.hdr_meta->dst_epoch < new_epoch;
-    });
-    if (sit->second.empty()) suspectq_.erase(sit);
-  }
+  // Parked records addressed to the dead incarnation fail over below;
+  // new-epoch records stay parked — in the suspect queue, the note_heard
+  // that follows this adoption heals the peer and restarts them.
+  const auto gone_or_stale = [&](std::int64_t id) {
+    auto it = sends_.find(id);
+    return it == sends_.end() || it->second.hdr_meta->dst_epoch < new_epoch;
+  };
+  std::erase_if(p.credit_waitq, gone_or_stale);
+  std::erase_if(p.suspectq, gone_or_stale);
   if (!stale.empty()) {
     SPLAP_WARN(progress_.engine().now(),
                "lapi task %d: peer %d reborn as epoch %lld, failing %zu "
@@ -564,27 +568,39 @@ void SendEngine::on_peer_reborn(int peer, std::int64_t new_epoch) {
   // The old incarnation's registrations are dead memory in the new life
   // (the epoch stamp would miss anyway; dropping them also frees capacity).
   selector_.cache().invalidate_peer(peer);
-  failed_peers_.erase(peer);  // the restarted life is reachable
-  health_.erase(peer);
-  accrual_.erase(peer);  // the new life's rhythm starts from scratch
+  // The restarted life is reachable; a suspected peer stays suspected until
+  // the note_heard that follows heals it.
+  if (p.liveness == PeerState::Liveness::kFailed) {
+    p.liveness = PeerState::Liveness::kAlive;
+  }
+  p.forget_rhythm();  // the new life's rhythm starts from scratch
   progress_.notify();
 }
 
 void SendEngine::note_heard(int src) {
+  PeerState* p = nullptr;
   if (accrual_enabled_ && src != task_id_) {
-    accrual_.try_emplace(src, config_.accrual_window)
-        .first->second.observe(progress_.engine().now());
+    p = &peer_state(src);
+    if (!p->accrual) p->accrual.emplace(kAccrualWindow);
+    p->accrual->observe(progress_.engine().now());
+  } else if (auto it = peers_.find(src); it != peers_.end()) {
+    p = &it->second;
+  } else {
+    return;  // never touched: nothing latched, probed or reported
   }
-  if (failed_peers_.empty() && health_.empty() && suspected_.empty()) {
-    return;  // healthy fast path
+  if (p->liveness == PeerState::Liveness::kFailed) {
+    p->liveness = PeerState::Liveness::kAlive;
+  } else if (p->liveness == PeerState::Liveness::kSuspected) {
+    heal_peer(src, *p);
   }
-  failed_peers_.erase(src);
-  if (!suspected_.empty()) heal_peer(src);
-  auto it = health_.find(src);
-  if (it != health_.end()) {
-    it->second.heard = true;
-    it->second.misses = 0;
+  if (p->probed) {
+    p->heard = true;
+    p->misses = 0;
   }
+  // Authenticated contact refutes the accrual gossip collected so far:
+  // restart the corroboration count rather than let ancient suspicions
+  // combine with fresh ones into a verdict.
+  p->death_reports.clear();
 }
 
 void SendEngine::forgive_crash_teardown() {
@@ -675,8 +691,7 @@ void SendEngine::keepalive_tick() {
   std::map<int, const SendRecord*> targets;
   for (const auto& [id, rec] : sends_) {
     if (rec.target == task_id_) continue;
-    if (rec.queued &&
-        !(accrual_enabled_ && suspected_.count(rec.target) != 0)) {
+    if (rec.queued && !(accrual_enabled_ && peer_suspected(rec.target))) {
       continue;
     }
     targets.try_emplace(rec.target, &rec);
@@ -686,13 +701,11 @@ void SendEngine::keepalive_tick() {
   std::vector<int> dead_direct;   // fixed-miss verdicts (legacy or warmup)
   std::vector<int> dead_accrual;  // sustained-suspicion verdicts
   for (const auto& [peer, rec] : targets) {
-    if (failed_peers_.count(peer) != 0) continue;
-    PeerHealth& h = health_[peer];
-    const AccrualEstimator* est = nullptr;
-    if (accrual_enabled_) {
-      auto eit = accrual_.find(peer);
-      if (eit != accrual_.end() && eit->second.warmed_up()) est = &eit->second;
-    }
+    PeerState& ps = peer_state(peer);
+    if (ps.liveness == PeerState::Liveness::kFailed) continue;
+    ps.probed = true;
+    const AccrualEstimator* est =
+        ps.accrual && ps.accrual->warmed_up() ? &*ps.accrual : nullptr;
     if (est != nullptr) {
       // Adaptive path: judge the silence against the peer's own recent
       // rhythm instead of a fixed miss count. A straggler whose replies
@@ -702,12 +715,13 @@ void SendEngine::keepalive_tick() {
         dead_accrual.push_back(peer);
         continue;
       }
-      if (s >= config_.suspect_threshold && suspected_.count(peer) == 0) {
+      if (s >= config_.suspect_threshold &&
+          ps.liveness != PeerState::Liveness::kSuspected) {
         suspects.push_back(peer);
       }
-      if (h.heard) {
-        h.heard = false;  // active traffic this interval: no probe needed
-        h.misses = 0;
+      if (ps.heard) {
+        ps.heard = false;  // active traffic this interval: no probe needed
+        ps.misses = 0;
         continue;
       }
     } else {
@@ -715,12 +729,12 @@ void SendEngine::keepalive_tick() {
       // fallback, so a peer that was dead from the start (it never produced
       // a rhythm to judge silence against) is declared exactly as the
       // legacy detector would declare it: direct evidence.
-      if (h.heard) {
-        h.heard = false;
-        h.misses = 0;
+      if (ps.heard) {
+        ps.heard = false;
+        ps.misses = 0;
         continue;
       }
-      if (++h.misses >= kKeepaliveMisses) {
+      if (++ps.misses >= kKeepaliveMisses) {
         dead_direct.push_back(peer);
         continue;
       }
@@ -761,8 +775,10 @@ void SendEngine::keepalive_tick() {
 }
 
 void SendEngine::suspect_peer(int peer) {
-  if (peer == task_id_ || failed_peers_.count(peer) != 0) return;
-  if (!suspected_.insert(peer).second) return;
+  if (peer == task_id_) return;
+  PeerState& p = peer_state(peer);
+  if (p.liveness != PeerState::Liveness::kAlive) return;
+  p.liveness = PeerState::Liveness::kSuspected;
   progress_.engine().counters().bump("lapi.peer_suspected");
   SPLAP_WARN(progress_.engine().now(),
              "lapi task %d: peer %d suspected (gray failure), quarantining "
@@ -773,78 +789,70 @@ void SendEngine::suspect_peer(int peer) {
   // no retry — and crucially no retry-exhaustion death verdict — can fire
   // against a peer that may merely be behind a partition), return the
   // credit lease and park the record. Records already parked in
-  // credit_waitq_ stay there; the suspected guard in drain_credit_waitq
+  // credit_waitq stay there; the suspected guard in drain_credit_waitq
   // keeps them parked until heal.
-  auto& q = suspectq_[peer];
   for (auto& [id, rec] : sends_) {
     if (rec.target != peer || rec.queued) continue;
     ++rec.retry.timeout_gen;  // the pending timer dies stale: RTO frozen
     rec.queued = true;
-    q.push_back(id);
+    p.suspectq.push_back(id);
     credit_return(rec, rec.credits_held);
   }
   progress_.notify();
 }
 
-void SendEngine::heal_peer(int peer) {
-  if (suspected_.erase(peer) == 0) return;
+void SendEngine::heal_peer(int peer, PeerState& p) {
+  p.liveness = PeerState::Liveness::kAlive;
   sim::Engine& engine = progress_.engine();
   engine.counters().bump("lapi.peer_healed");
   SPLAP_WARN(engine.now(),
              "lapi task %d: suspected peer %d heard from again, healing",
              task_id_, peer);
   const CostModel& cm = progress_.cost();
-  auto qit = suspectq_.find(peer);
-  if (qit != suspectq_.end()) {
-    std::deque<std::int64_t> q = std::move(qit->second);
-    suspectq_.erase(qit);
-    for (const std::int64_t id : q) {
-      auto it = sends_.find(id);
-      if (it == sends_.end()) continue;  // reclaimed while parked
-      SendRecord& rec = it->second;
-      if (!rec.queued) continue;
-      // A record whose payload still needs the wire must re-lease credits;
-      // an over-subscribed pool routes it to the ordinary credit queue
-      // instead (started by drain_credit_waitq as credits return).
-      const bool flow =
-          credits_.enabled() && peer != task_id_ && !rec.data_acked;
-      if (flow && !(credits_.can_send(peer, rec.pkts) &&
-                    credit_waitq_.count(peer) == 0)) {
-        engine.counters().bump("lapi.credit_queued");
-        credit_waitq_[peer].push_back(id);
-        continue;  // stays queued
-      }
-      rec.queued = false;
-      if (flow) lease_credits(rec);
-      // Restart as any handler-context send: behind the dispatcher's
-      // current work. Deliberately NOT charged against the retry budget —
-      // the quarantine was the detector's choice, not the wire's failure.
-      const Time inject_at =
-          std::max(engine.now(), progress_.busy_until()) + cm.lapi_pkt_tx;
-      progress_.set_busy_until(inject_at);
-      rec.sent_at = inject_at;
-      if (inject_at <= engine.now()) {
-        if (!rec.data_acked) {
-          transmit_packets(rec);
-        } else {
-          transmit_probe(rec);
-        }
-      } else {
-        progress_.defer(inject_at, [this, id] {
-          auto it2 = sends_.find(id);
-          if (it2 == sends_.end()) return;
-          if (!it2->second.data_acked) {
-            transmit_packets(it2->second);
-          } else {
-            transmit_probe(it2->second);
-          }
-        });
-      }
-      arm_initial(id,
-                  rec.data ? static_cast<std::int64_t>(rec.data->size()) : 0);
+  for (const std::int64_t id : std::exchange(p.suspectq, {})) {
+    auto it = sends_.find(id);
+    if (it == sends_.end()) continue;  // reclaimed while parked
+    SendRecord& rec = it->second;
+    if (!rec.queued) continue;
+    // A record whose payload still needs the wire must re-lease credits; an
+    // over-subscribed pool routes it to the ordinary credit queue instead
+    // (started by drain_credit_waitq as credits return).
+    const bool flow = credit_window_ > 0 && peer != task_id_ && !rec.data_acked;
+    if (flow && !(p.credit_waitq.empty() && has_credits(p, rec.pkts))) {
+      engine.counters().bump("lapi.credit_queued");
+      p.credit_waitq.push_back(id);
+      continue;  // stays queued
     }
+    rec.queued = false;
+    if (flow) lease_credits(p, rec);
+    // Restart as any handler-context send: behind the dispatcher's current
+    // work. Deliberately NOT charged against the retry budget — the
+    // quarantine was the detector's choice, not the wire's failure.
+    const Time inject_at =
+        std::max(engine.now(), progress_.busy_until()) + cm.lapi_pkt_tx;
+    progress_.set_busy_until(inject_at);
+    rec.sent_at = inject_at;
+    if (inject_at <= engine.now()) {
+      if (!rec.data_acked) {
+        transmit_packets(rec);
+      } else {
+        transmit_probe(rec);
+      }
+    } else {
+      progress_.defer(inject_at, [this, id] {
+        auto it2 = sends_.find(id);
+        if (it2 == sends_.end()) return;
+        if (!it2->second.data_acked) {
+          transmit_packets(it2->second);
+        } else {
+          transmit_probe(it2->second);
+        }
+      });
+    }
+    arm_initial(id,
+                rec.data ? static_cast<std::int64_t>(rec.data->size()) : 0);
   }
-  drain_credit_waitq(peer);
+  drain_credit_waitq(p);
   progress_.notify();
 }
 

@@ -17,8 +17,10 @@
 //                    records (the retransmission source — the real library's
 //                    copy into the adapter DMA buffers, Section 6 item 3),
 //                    packetization into header + data packets with end-to-end
-//                    CRC stamping, the two-level DATA/DONE ack protocol, and
-//                    retry-exhaustion failure completion.
+//                    CRC stamping, the two-level DATA/DONE ack protocol,
+//                    retry-exhaustion failure completion, and one PeerState
+//                    per peer (liveness, credits, parked sends, detector
+//                    evidence).
 //
 // Invariant owned here: a send record is reclaimed exactly once — by the
 // final ack, an RMW response, or retry exhaustion — and no timer fires into
@@ -28,10 +30,10 @@
 
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -39,12 +41,27 @@
 #include "base/audit.hpp"
 #include "base/cost_model.hpp"
 #include "base/rng.hpp"
+#include "base/time.hpp"
 #include "lapi/progress.hpp"
 #include "lapi/protocol.hpp"
 #include "lapi/select.hpp"
 #include "net/delivery.hpp"
 
 namespace splap::lapi {
+
+// LAPI retransmission and failure-detector constants.
+/// Clamp of the adaptive (Jacobson) RTO estimate and of its backoff.
+inline constexpr Time kRtoMin = microseconds(150);
+inline constexpr Time kRtoMax = milliseconds(250);
+/// An adaptive retry's backoff adds a uniform draw in
+/// [0, delay * kBackoffJitter) from an Rng seeded with kJitterSeed ^ task.
+inline constexpr double kBackoffJitter = 0.25;
+inline constexpr std::uint64_t kJitterSeed = 0x7e57a11;
+/// Inter-arrival gaps each peer's accrual estimator remembers.
+inline constexpr int kAccrualWindow = 16;
+/// Distinct observers needed to latch a gossiped accrual-only death verdict
+/// (SendEngine::note_death_report).
+inline constexpr int kSuspicionQuorum = 2;
 
 /// Per-record retry bookkeeping embedded in the owner's send record.
 struct RetryState {
@@ -145,7 +162,7 @@ class AccrualEstimator {
   /// this the detector falls back to the legacy fixed-miss rule.
   static constexpr int kWarmupSamples = 3;
 
-  explicit AccrualEstimator(int window = 16)
+  explicit AccrualEstimator(int window = kAccrualWindow)
       : window_(window < 2 ? 2 : window),
         gaps_(static_cast<std::size_t>(window_), 0.0) {}
 
@@ -180,7 +197,6 @@ class AccrualEstimator {
 
   bool warmed_up() const { return count_ >= kWarmupSamples; }
   int samples() const { return count_; }
-  Time last_heard() const { return last_; }
   double mean() const { return count_ > 0 ? sum_ / count_ : 0.0; }
   double stddev() const {
     if (count_ == 0) return 0.0;
@@ -208,37 +224,59 @@ class AccrualEstimator {
   double sumsq_ = 0.0;
 };
 
-/// Per-peer packet-credit pool, origin side (the real LAPI's token scheme
-/// over the TB3 adapter's finite buffering). A message leases one credit per
-/// wire packet before its first transmission; leases return incrementally as
-/// the target reports ingested packets (cumulative ack_pkts on acks/kCredit)
-/// and in full when the send record is reclaimed. A message larger than the
-/// whole window may start only when the peer's pool is completely idle,
-/// taking the balance negative — so a below-window pool always implies a
-/// live record whose reclamation will release credits, which is the
-/// deadlock-freedom argument (see DESIGN.md §6): credit restoration rides
-/// the record-reclamation invariant, never on any single packet surviving.
-class CreditGate {
- public:
-  explicit CreditGate(std::int64_t window) : window_(window) {}
-  bool enabled() const { return window_ > 0; }
-  std::int64_t window() const { return window_; }
-  std::int64_t available(int peer) const {
-    auto it = credits_.find(peer);
-    return it == credits_.end() ? window_ : it->second;
-  }
-  bool can_send(int peer, std::int64_t pkts) const {
-    const std::int64_t avail = available(peer);
-    return avail >= pkts || avail == window_;
-  }
-  void consume(int peer, std::int64_t pkts) {
-    credits_.try_emplace(peer, window_).first->second -= pkts;
-  }
-  void release(int peer, std::int64_t pkts) { credits_.at(peer) += pkts; }
+/// Everything one task's send engine knows about one peer: liveness, credit
+/// pool, parked sends and detector evidence. Created on first touch; an idle
+/// record allocates nothing (vector FIFOs, estimator built on first arrival).
+struct PeerState {
+  enum class Liveness : std::uint8_t { kAlive, kSuspected, kFailed };
 
- private:
-  std::int64_t window_;
-  std::map<int, std::int64_t> credits_;
+  explicit PeerState(std::int64_t window) : credits(window) {}
+
+  /// kSuspected: quarantined, sends parked in suspectq, heals on any
+  /// contact. kFailed: latched dead until the peer is heard from again.
+  Liveness liveness = Liveness::kAlive;
+
+  /// Packet credits (the real LAPI's token scheme over the TB3 adapter's
+  /// finite buffering). A message leases one credit per wire packet before
+  /// its first transmission; leases return incrementally as the target
+  /// reports ingested packets (cumulative ack_pkts on acks/kCredit) and in
+  /// full when the send record is reclaimed. A message larger than the whole
+  /// window may start only when the pool is completely idle, taking the
+  /// balance negative — so a below-window pool always implies a live record
+  /// whose reclamation will release credits, which is the deadlock-freedom
+  /// argument (see DESIGN.md §6): credit restoration rides the
+  /// record-reclamation invariant, never on any single packet surviving.
+  std::int64_t credits;
+  /// Handler-context sends that could not lease credits, FIFO; drained as
+  /// grants/reclamations return credits.
+  std::vector<std::int64_t> credit_waitq;
+  /// Records quarantined while the peer is suspected, FIFO. Separate from
+  /// credit_waitq so mid-quarantine credit returns cannot restart them; only
+  /// heal_peer (or fail_peer) drains it.
+  std::vector<std::int64_t> suspectq;
+
+  /// Keepalive observation window, open from the peer's first tick
+  /// (`probed`): any admitted packet sets `heard`, each tick consumes it and
+  /// counts silent ones in `misses`.
+  bool probed = false;
+  bool heard = false;
+  int misses = 0;
+  /// Inter-arrival estimator (accrual mode only).
+  std::optional<AccrualEstimator> accrual;
+
+  /// Accrual-only death gossip awaiting corroboration: the distinct tasks
+  /// that reported the peer dead on suspicion alone. Cleared when the peer
+  /// is heard from (the reports were describing a partition, not a death).
+  std::set<int> death_reports;
+
+  /// A dead or restarted peer's next life is judged from scratch: no
+  /// keepalive window, no rhythm.
+  void forget_rhythm() {
+    probed = false;
+    heard = false;
+    misses = 0;
+    accrual.reset();
+  }
 };
 
 /// Origin-side record of an in-flight data-bearing LAPI message, kept until
@@ -316,11 +354,12 @@ class SendEngine final : public ReliableChannel::Sender {
   /// Flow-control introspection (tests): credits available toward `peer`
   /// and sends parked awaiting credits.
   std::int64_t credits_available(int peer) const {
-    return credits_.available(peer);
+    auto it = peers_.find(peer);
+    return it == peers_.end() ? credit_window_ : it->second.credits;
   }
   std::size_t credit_queued() const {
     std::size_t n = 0;
-    for (const auto& [peer, q] : credit_waitq_) n += q.size();
+    for (const auto& [id, p] : peers_) n += p.credit_waitq.size();
     return n;
   }
   /// True when every remaining record has exhausted its retries (term's
@@ -345,17 +384,19 @@ class SendEngine final : public ReliableChannel::Sender {
   void note_heard(int src);
 
   /// Is `peer` currently latched dead?
-  bool peer_failed(int peer) const { return failed_peers_.count(peer) != 0; }
+  bool peer_failed(int peer) const {
+    return liveness(peer) == PeerState::Liveness::kFailed;
+  }
 
   /// Is `peer` in the suspected (quarantined, not dead) state?
   bool peer_suspected(int peer) const {
-    return suspected_.count(peer) != 0;
+    return liveness(peer) == PeerState::Liveness::kSuspected;
   }
 
   /// Sends currently quarantined behind suspected peers (introspection).
   std::size_t suspect_queued() const {
     std::size_t n = 0;
-    for (const auto& [peer, q] : suspectq_) n += q.size();
+    for (const auto& [id, p] : peers_) n += p.suspectq.size();
     return n;
   }
 
@@ -367,6 +408,12 @@ class SendEngine final : public ReliableChannel::Sender {
   /// proof (retry exhaustion, fixed-miss keepalive), false for an
   /// accrual-only verdict — gossip of the latter needs corroboration.
   void fail_peer(int peer, bool direct = true);
+
+  /// Another task reported `peer` dead on accrual evidence alone (gossip).
+  /// A single partitioned observer must not split-brain the membership: the
+  /// verdict latches here only once kSuspicionQuorum distinct observers
+  /// agree, counting this task's own live suspicion of the peer as one vote.
+  void note_death_report(int peer, int reporter);
 
   /// The peer restarted with incarnation `new_epoch`. Records addressed to
   /// an older incarnation can never complete (the new life rejects their
@@ -417,6 +464,15 @@ class SendEngine final : public ReliableChannel::Sender {
   /// Keepalive: (re-)arm the probe tick while records are pending.
   void arm_keepalive();
   void keepalive_tick();
+  /// The record of `peer`, created on first touch.
+  PeerState& peer_state(int peer) {
+    return peers_.try_emplace(peer, credit_window_).first->second;
+  }
+  PeerState::Liveness liveness(int peer) const {
+    auto it = peers_.find(peer);
+    return it == peers_.end() ? PeerState::Liveness::kAlive
+                              : it->second.liveness;
+  }
   /// healthy -> suspected: quarantine every record toward `peer` (freeze its
   /// RTO by bumping the timeout generation, return its credit lease, park it
   /// in the suspect queue) instead of failing it. Fresh transitions bump
@@ -425,7 +481,7 @@ class SendEngine final : public ReliableChannel::Sender {
   /// suspected -> healthy (any contact): restart the quarantined records —
   /// re-lease credits, retransmit (not charged against the retry budget) and
   /// re-arm their timers. Bumps lapi.peer_healed.
-  void heal_peer(int peer);
+  void heal_peer(int peer, PeerState& p);
 
   /// Wire packets a message of this shape occupies (the credit unit).
   /// Both this and transmit_packets read the same frag_plan, so the lease
@@ -434,15 +490,21 @@ class SendEngine final : public ReliableChannel::Sender {
                             std::int64_t len) const;
   /// Arm the first RTO of `id`, scaled by the injection backlog + wire time.
   void arm_initial(std::int64_t id, std::int64_t len);
-  void lease_credits(SendRecord& rec);
+  /// Credits admit a `pkts`-packet message (the oversize rule: a full pool
+  /// admits anything). Callers that start new sends also require an empty
+  /// credit_waitq, so nothing overtakes a parked send.
+  bool has_credits(const PeerState& p, std::int64_t pkts) const {
+    return p.credits >= pkts || p.credits == credit_window_;
+  }
+  void lease_credits(PeerState& p, SendRecord& rec);
   /// Return up to `n` leased credits to the peer pool, drain its wait queue
   /// and wake parked senders. No-op on unleased records.
   void credit_return(SendRecord& rec, std::int64_t n);
   /// Apply a cumulative ingest report (ack_pkts) to a record's lease.
   void apply_grant(SendRecord& rec, std::int64_t granted);
   void release_credits(SendRecord& rec) { credit_return(rec, rec.credits_held); }
-  /// Start queued sends toward `peer` while credits allow, FIFO.
-  void drain_credit_waitq(int peer);
+  /// Start the peer's queued sends while credits allow, FIFO.
+  void drain_credit_waitq(PeerState& p);
 
   net::Delivery& wire_;
   ProgressEngine& progress_;
@@ -459,39 +521,22 @@ class SendEngine final : public ReliableChannel::Sender {
   std::map<std::int64_t, SendRecord> sends_;
   int outstanding_data_ = 0;
   int outstanding_gets_ = 0;
-  CreditGate credits_;
-  /// Handler-context sends that could not lease credits, FIFO per peer;
-  /// drained as grants/reclamations return credits.
-  std::map<int, std::deque<std::int64_t>> credit_waitq_;
+  /// Per-peer packet-credit window (Config::credit_window; 0 = no flow
+  /// control).
+  const std::int64_t credit_window_;
+  /// One record per peer this task has touched. A map, not an array indexed
+  /// by task id: a task addresses a handful of peers, and references stay
+  /// valid while fail_peer runs the failure hook.
+  std::map<int, PeerState> peers_;
   ReliableChannel channel_;
 
   // --- crash-stop peer failure state ---------------------------------------
   std::int64_t epoch_ = 0;
-  /// Peers latched dead; cleared by note_heard when the peer reconnects.
-  std::set<int> failed_peers_;
   std::function<void(int, bool)> peer_failure_hook_;
-  /// Keepalive observation window per probed peer: `heard` is set by any
-  /// admitted packet from the peer and consumed (reset) each tick.
-  struct PeerHealth {
-    bool heard = false;
-    int misses = 0;
-  };
-  std::map<int, PeerHealth> health_;
   bool keepalive_armed_ = false;
-
-  // --- gray-failure detection (accrual keepalive) ---------------------------
   /// Accrual detector active: keepalive configured and not forced legacy.
-  /// Resolved once — note_heard sits on the per-packet admit path and must
-  /// stay a cheap early-out when the detector is off (the default).
+  /// Resolved once: note_heard runs on every admitted packet.
   const bool accrual_enabled_;
-  /// Inter-arrival estimator per heard peer (accrual mode only).
-  std::map<int, AccrualEstimator> accrual_;
-  /// Peers in the suspected (quarantined) state: not failed, sends parked.
-  std::set<int> suspected_;
-  /// Records quarantined behind a suspected peer, FIFO. Separate from
-  /// credit_waitq_ so mid-quarantine credit returns cannot restart them;
-  /// only heal_peer (or fail_peer) drains this queue.
-  std::map<int, std::deque<std::int64_t>> suspectq_;
 #ifdef SPLAP_AUDIT
   /// Shadow ledger of live send records: double-reclaim or a timer/ack
   /// touching a reclaimed record aborts at the corrupting operation.

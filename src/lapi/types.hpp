@@ -142,17 +142,9 @@ struct Config {
   /// acks far beyond the smoothed estimate of quiet-time ops, and a
   /// spurious retransmit perturbs calibrated timings), so the adaptive
   /// policy is opt-in for lossy/faulted environments where fast loss
-  /// recovery matters more than undisturbed clean-path timing.
+  /// recovery matters more than undisturbed clean-path timing. Clamp and
+  /// jitter are the constants kRtoMin/kRtoMax/kBackoffJitter (reliable.hpp).
   bool adaptive_timeout = false;
-  /// Clamp for the adaptive estimate (the fixed-timeout path ignores both).
-  Time rto_min = microseconds(150);
-  Time rto_max = milliseconds(250);
-  /// Each backed-off retry delay adds a uniform draw in
-  /// [0, delay * backoff_jitter) so synchronized losers unsynchronize
-  /// without any wall-clock randomness (the Rng is seeded from jitter_seed
-  /// and the task id).
-  double backoff_jitter = 0.25;
-  std::uint64_t jitter_seed = 0x7e57a11;
 
   // --- end-to-end flow control (all default off: golden traces unchanged) --
   /// Per-peer packet-credit window (the real LAPI's token scheme over the
@@ -221,19 +213,8 @@ struct Config {
   /// Suspicion level at which sustained accrual escalates a suspected peer
   /// to the full fail_peer cascade. This verdict is circumstantial (no
   /// retry exhaustion), so its gossip needs corroboration — see
-  /// suspicion_quorum.
+  /// kSuspicionQuorum.
   double fail_threshold = 8.0;
-  /// Inter-arrival samples the per-peer accrual estimator remembers. Until
-  /// it has observed AccrualEstimator::kWarmupSamples gaps the detector
-  /// falls back to the legacy fixed-miss rule (a peer that was never heard
-  /// from has no rhythm to judge silence against).
-  int accrual_window = 16;
-  /// Distinct observers (gossip reporters plus this task's own suspicion)
-  /// required before an accrual-only death verdict received via gossip
-  /// latches locally. Direct evidence (retry exhaustion, warmup-fallback
-  /// keepalive) always latches immediately. Prevents one partitioned
-  /// observer from split-braining a healthy task.
-  int suspicion_quorum = 2;
 
   /// Error handler registered at LAPI_Init. nullptr = none; peer failure is
   /// then observable only through kPeerFailed completions and gfence.

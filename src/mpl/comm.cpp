@@ -11,6 +11,10 @@ namespace splap::mpl {
 namespace {
 constexpr std::int64_t kRtsDescBytes = 16;
 constexpr std::int64_t kCtlDescBytes = 8;
+/// Ceiling of the per-retry backoff doubling: uncapped, a dozen doublings
+/// of the 4 ms base reach minutes of virtual time, and a transiently
+/// partitioned peer would look hung.
+constexpr Time kBackoffClamp = milliseconds(250);
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -39,7 +43,7 @@ Comm::Comm(net::Node& node, Config config)
   policy.base_rto = config_.retransmit_timeout;
   policy.max_retries = config_.max_retries;
   policy.clamp_backoff = true;
-  policy.rto_max = config_.rto_max;
+  policy.rto_max = kBackoffClamp;
   channel_ = std::make_unique<lapi::ReliableChannel>(
       engine(), static_cast<lapi::ReliableChannel::Sender&>(*this), policy,
       "mpl", /*jitter_seed=*/0, std::weak_ptr<char>(alive_));

@@ -64,7 +64,7 @@ struct MplMeta {
 };
 
 /// The communicator shares LAPI's reliable-delivery core: retransmit timers,
-/// exponential backoff (clamped at Config::rto_max) and stale-timer
+/// exponential backoff (clamped at 250 ms) and stale-timer
 /// suppression come from lapi::ReliableChannel — MPL is a sibling client of
 /// the same transport machinery, not a second implementation of it.
 class Comm : private lapi::ReliableChannel::Sender {

@@ -32,14 +32,10 @@ struct Config {
   /// protocol (sender-side copy, immediate injection); larger messages use
   /// rendezvous. Paper: default 4096, maximum 65536.
   std::int64_t eager_limit = 4096;
-  /// Retransmission parameters of the internal reliability layer.
+  /// Retransmission parameters of the internal reliability layer (the
+  /// per-retry doubling is clamped at 250 ms, kBackoffClamp in comm.cpp).
   Time retransmit_timeout = milliseconds(4.0);
   int max_retries = 12;
-  /// Backoff clamp: the per-retry doubling of the retransmit delay stops at
-  /// this ceiling (uncapped, a dozen doublings of the 4 ms base would reach
-  /// minutes of virtual time between the last retries — far beyond any
-  /// plausible recovery, so a transiently-partitioned peer looked hung).
-  Time rto_max = milliseconds(250);
   /// Cap on the unexpected-message queue (eager messages buffered with no
   /// matching receive — the receiver-side memory a never-receiving rank can
   /// grow without bound). 0 = unbounded. Over the cap, a newly admitted

@@ -39,11 +39,6 @@ Fabric::Fabric(sim::Engine& engine, int nodes, FabricConfig config)
                     "straggler multiplier must be >= 1 (it slows, never speeds)");
     }
     faults_ = std::make_unique<FaultInjector>(config_.fault);
-    for (const NodeFault& f : config_.fault.node_faults) {
-      SPLAP_REQUIRE(f.node >= 0 && f.node < nodes,
-                    "node fault names a node the machine does not have");
-      node_faults_.push_back(f);
-    }
   }
 }
 

@@ -150,8 +150,7 @@ class Fabric : public Delivery {
   // in flight toward it are flushed at the adapter (fabric.node_down_flushed)
   // so crash timing cannot leak stale deliveries into a restarted node.
 
-  /// Open a crash window (Machine::kill_node appends one with until=kNoTime;
-  /// declarative windows arrive via FaultConfig::node_faults).
+  /// Open a crash window (Machine::kill_node appends one, until=kNoTime).
   void add_node_fault(const NodeFault& f);
 
   /// Close the newest open window for `node` at time `t` (its restart).
@@ -221,8 +220,8 @@ class Fabric : public Delivery {
   /// path's whole fault-model cost in the default configuration is this
   /// null check.
   std::unique_ptr<FaultInjector> faults_;
-  /// Crash-stop windows (config + dynamically appended). Empty in every
-  /// healthy configuration, so node_up() costs one empty() check.
+  /// Crash-stop windows (appended by kill_node). Empty in every healthy
+  /// configuration, so node_up() costs one empty() check.
   std::vector<NodeFault> node_faults_;
   // payload_pool_ must outlive inflight_pool_: destroying an InFlight
   // record releases its packet's payload buffer back into the payload pool.

@@ -156,11 +156,6 @@ struct FaultConfig {
 
   std::vector<RouteFault> route_faults;
 
-  /// Crash-stop node windows known up front. Machine::kill_node /
-  /// restart_node append/close windows dynamically; this config vector
-  /// exists so harnesses can also declare crashes declaratively.
-  std::vector<NodeFault> node_faults;
-
   /// Directional src->dst blackhole windows (asymmetric partitions).
   std::vector<PartitionFault> partitions;
   /// Named multi-side symmetric partitions cut at a virtual time.
@@ -183,9 +178,8 @@ struct FaultConfig {
   /// entirely (the zero-cost default path).
   bool any() const {
     return injects_loss() || duplicate_rate > 0 || corrupt_rate > 0 ||
-           !route_faults.empty() || !node_faults.empty() ||
-           !partitions.empty() || !partition_groups.empty() ||
-           !stragglers.empty();
+           !route_faults.empty() || !partitions.empty() ||
+           !partition_groups.empty() || !stragglers.empty();
   }
 };
 

@@ -11,7 +11,6 @@ Machine::Machine(Config config)
     : fabric_(engine_, config.tasks, config.fabric),
       incarnations_(static_cast<std::size_t>(config.tasks), 0) {
   SPLAP_REQUIRE(config.tasks > 0, "machine needs at least one task");
-  crash_planned_ = !config.fabric.fault.node_faults.empty();
   nodes_.reserve(static_cast<std::size_t>(config.tasks));
   for (int i = 0; i < config.tasks; ++i) {
     nodes_.push_back(std::make_unique<Node>(*this, i));

@@ -174,10 +174,6 @@ class Machine {
     return incarnations_[static_cast<std::size_t>(node)];
   }
 
-  /// Any crash scheduled on this machine so far (disables the healthy-run
-  /// dead-letter assertion).
-  bool crash_planned() const { return crash_planned_; }
-
   /// Opt out of the healthy-run dead-letter assertion for tests that
   /// deliberately leave a client unregistered (e.g. a target task that never
   /// calls LAPI_Init while peers retransmit at it).
@@ -188,6 +184,8 @@ class Machine {
   Fabric fabric_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::int64_t> incarnations_;
+  /// Any crash scheduled on this machine so far (disables the healthy-run
+  /// dead-letter assertion).
   bool crash_planned_ = false;
   bool allow_dead_letters_ = false;
 };

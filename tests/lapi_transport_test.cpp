@@ -10,6 +10,8 @@
 // fake wire (net::Delivery) that injects loss, reordering, duplication and
 // payload corruption — proving the layers deliver exactly-once without a
 // net::Machine, a Context, or any actor, which is the point of the layering.
+// The same stack checks the corroboration rule for gossiped accrual
+// verdicts.
 //
 // Deliberately does NOT include lapi/context.hpp: the layering lint forbids
 // the transport layers (and their tests) from seeing the facade.
@@ -575,6 +577,102 @@ TEST(TransportStackTest, RetryExhaustionCascadesAcrossThePeerQueue) {
   ASSERT_EQ(f.eng.run(), Status::kOk);
   f.expect_delivered(*src4, dst4);
   EXPECT_FALSE(f.origin->send().peer_failed(1));
+}
+
+// ===========================================================================
+// Corroboration: accrual-only death gossip latches only on a quorum of
+// distinct observers (SendEngine::note_death_report)
+// ===========================================================================
+
+/// Records every peer-failure hook call as (peer, direct).
+struct HookLog {
+  std::vector<std::pair<int, bool>> calls;
+  void attach(SendEngine& send) {
+    send.set_peer_failure_hook(
+        [this](int peer, bool direct) { calls.emplace_back(peer, direct); });
+  }
+};
+
+TEST(TransportCorroborationTest, OneAccrualReportDoesNotLatch) {
+  StackFixture f;
+  f.build();
+  HookLog hook;
+  hook.attach(f.origin->send());
+  f.origin->send().note_death_report(1, /*reporter=*/2);
+  EXPECT_FALSE(f.origin->send().peer_failed(1));
+  EXPECT_TRUE(hook.calls.empty());
+  EXPECT_EQ(f.eng.counters().get("lapi.peer_failed"), 0);
+}
+
+TEST(TransportCorroborationTest, SameReporterAgainDoesNotLatch) {
+  StackFixture f;
+  f.build();
+  HookLog hook;
+  hook.attach(f.origin->send());
+  for (int i = 0; i < 3; ++i) f.origin->send().note_death_report(1, 2);
+  EXPECT_FALSE(f.origin->send().peer_failed(1));
+  EXPECT_TRUE(hook.calls.empty());
+}
+
+TEST(TransportCorroborationTest, SecondDistinctReporterLatchesAndFailsOver) {
+  // Two puts stay pending (the wire eats their data, and the retry ladder is
+  // far longer than the test). The second distinct report latches the
+  // verdict: both records fail over through fail_peer — the peer-death
+  // path, which completes them with kPeerFailed — not by retry exhaustion.
+  StackFixture f;
+  f.build();
+  HookLog hook;
+  hook.attach(f.origin->send());
+  f.wire.drop_first_n_data = 1 << 20;
+  auto src = StackFixture::pattern(kLen);
+  std::vector<std::byte> dst(static_cast<std::size_t>(kLen));
+  f.put(src, dst.data());
+  f.put(src, dst.data());
+  bool latched_after_first = true;
+  f.eng.schedule_at(microseconds(100), [&f, &latched_after_first] {
+    ASSERT_EQ(f.origin->send().pending_sends(), 2u);
+    f.origin->send().note_death_report(1, /*reporter=*/2);
+    latched_after_first = f.origin->send().peer_failed(1);
+    f.origin->send().note_death_report(1, /*reporter=*/3);
+  });
+  ASSERT_EQ(f.eng.run(), Status::kOk);
+  EXPECT_FALSE(latched_after_first);
+  EXPECT_TRUE(f.origin->send().peer_failed(1));
+  ASSERT_EQ(hook.calls.size(), 1u);
+  EXPECT_EQ(hook.calls[0], std::make_pair(1, false));  // accrual evidence
+  EXPECT_EQ(f.eng.counters().get("lapi.peer_failed"), 1);
+  EXPECT_EQ(f.eng.counters().get("lapi.failed_ops"), 2);
+  EXPECT_EQ(f.eng.counters().get("lapi.retransmit_giveup"), 0);
+  EXPECT_EQ(f.origin->send().pending_sends(), 0u);
+  EXPECT_EQ(f.origin->send().outstanding_data(), 0);
+}
+
+TEST(TransportCorroborationTest, PacketFromThePeerResetsTheCount) {
+  // Contact from the peer refutes the gossip gathered so far: a report
+  // before the contact and one after it are not two votes.
+  StackFixture f;
+  f.build();
+  HookLog hook;
+  hook.attach(f.origin->send());
+  f.origin->send().note_death_report(1, /*reporter=*/2);
+  // The peer puts to us; admitting its packets is the contact.
+  auto src = StackFixture::pattern(64);
+  std::vector<std::byte> dst(64);
+  f.eng.schedule_at(0, [&f, src, &dst] {
+    auto hdr = std::make_shared<WireMeta>();
+    hdr->tgt_addr = dst.data();
+    hdr->total_len = static_cast<std::int64_t>(src->size());
+    f.target->send().submit(PktKind::kPutHdr, 0, hdr, src, 0);
+  });
+  ASSERT_EQ(f.eng.run(), Status::kOk);
+  ASSERT_EQ(std::memcmp(dst.data(), src->data(), dst.size()), 0);
+  f.origin->send().note_death_report(1, /*reporter=*/3);
+  EXPECT_FALSE(f.origin->send().peer_failed(1));
+  EXPECT_TRUE(hook.calls.empty());
+  // A second distinct reporter since the contact completes the quorum.
+  f.origin->send().note_death_report(1, /*reporter=*/2);
+  EXPECT_TRUE(f.origin->send().peer_failed(1));
+  EXPECT_EQ(hook.calls.size(), 1u);
 }
 
 // ===========================================================================
