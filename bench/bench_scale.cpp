@@ -11,9 +11,9 @@
 // Virtual timelines are identical; the wall-clock gap is pure
 // actor-machinery overhead.
 //
-// Emits BENCH_scale.json (override with --json_out=PATH), pinned by
-// scripts/golden_check.sh: run names, the schema tag, and the 1024-node
-// event-over-actor ceiling are all checked there.
+// Emits BENCH_scale.json (override with --json_out=PATH).
+// scripts/golden_check.sh pins its run names and schema tag; the 1024-node
+// event-over-actor ceiling is checked by `scripts/check.sh perf`.
 #include <chrono>
 #include <cstdio>
 #include <cstring>

@@ -45,6 +45,13 @@
 #              threads)
 #   audit      SPLAP_AUDIT build + full ctest: shadow-state lifecycle and
 #              virtual-time race auditing across every suite, chaos included
+#   perf       wall-clock and benchmark checks kept out of tier-1: every
+#              seed pinned in perfbench/fingerprints.json re-run and matched
+#              (scripts/check_pins.py), and the bench_scale actor-cost
+#              ceiling on the optimized build — at 1024 nodes a bare event
+#              chain may move packets at most 25x faster than one actor per
+#              node (event_over_actor_1024 <= 25); it fails if an actor ever
+#              costs an OS thread again
 #
 # Stages can be selected by name: `scripts/check.sh lint audit` runs just
 # those two; no arguments runs everything.
@@ -106,7 +113,10 @@ if want lint; then
   echo "== determinism lint =="
   cmake -B build -S . >/dev/null
   cmake --build build -j"$(nproc)" --target splap_lint lint_selftest
-  ctest --test-dir build -L lint --no-tests=error --output-on-failure
+  # By name: the graph tests share the label but only the graph stage
+  # builds them.
+  ctest --test-dir build -R 'lint_selftest|lint_tree' --no-tests=error \
+    --output-on-failure
 fi
 
 if want graph; then
@@ -162,6 +172,21 @@ if want audit; then
   echo "== audit build (SPLAP_AUDIT) =="
   build_regime audit
   ctest --test-dir build-audit --output-on-failure
+fi
+
+if want perf; then
+  echo "== perf: pinned fingerprints and the actor-cost ceiling =="
+  python3 scripts/check_pins.py
+  cmake -B build -S . >/dev/null
+  cmake --build build -j"$(nproc)" --target bench_scale
+  scale_json=$(mktemp)
+  ./build/bench/bench_scale --json_out="${scale_json}" >/dev/null
+  ratio=$(grep -o '"event_over_actor_1024": [0-9.]*' "${scale_json}" |
+    grep -o '[0-9.]*$')
+  rm -f "${scale_json}"
+  echo "event_over_actor_1024 = ${ratio} (ceiling 25)"
+  awk -v r="${ratio}" 'BEGIN { exit !(r != "" && r <= 25.0) }' \
+    || { echo "1024-node event/actor packet-rate ratio ${ratio}x > 25x"; exit 1; }
 fi
 
 echo "All checks passed."

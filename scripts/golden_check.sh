@@ -17,14 +17,8 @@
 #                kinds of death verdict); pure virtual time, so its bytes are
 #                pinned like the text outputs
 #   scale        BENCH_scale.json carries wall-clock packet rates, so the
-#                guard pins schema + run-name set, plus one ratio that is a
-#                hard claim rather than a timing — at
-#                1024 nodes a bare event chain moves packets at most 25x
-#                faster than one actor per node (event_over_actor_1024 <= 25).
-#                The ceiling fails if actors ever cost an OS thread each
-#                again. It is skipped in sanitized/audit builds:
-#                instrumentation taxes the two drivers unevenly, so the ratio
-#                only means something on an optimized build.
+#                guard pins schema + run-name set only; its actor-cost
+#                ceiling is a timing and lives in `scripts/check.sh perf`
 #
 # Usage: scripts/golden_check.sh <build-dir>
 # Re-baselining (only after an intentional behavior change): re-run the
@@ -75,19 +69,5 @@ for name in actor_64 event_64 actor_256 event_256 actor_1024 event_1024; do
   grep -q "\"name\": \"$name\"" "$TMP/BENCH_scale.json" \
     || { echo "missing run $name in BENCH_scale.json"; exit 1; }
 done
-# What an actor costs over a bare event, re-proven on every run: at 1024
-# nodes the event driver may move packets at most 25x faster than the actor
-# driver (fibers measured 7.0-15.2x; an OS thread per actor measured 44-64x).
-# Sanitizer/audit instrumentation taxes the two drivers unevenly, so the
-# ceiling is only meaningful (and only enforced) on an uninstrumented build.
-if grep -qE 'SPLAP_SANITIZE:[A-Z]+=(ON|thread)|SPLAP_AUDIT:[A-Z]+=ON' \
-    "$BUILD_DIR/CMakeCache.txt" 2>/dev/null; then
-  echo "   (instrumented build: schema+names pinned, actor-cost ceiling skipped)"
-else
-  ratio=$(grep -o '"event_over_actor_1024": [0-9.]*' "$TMP/BENCH_scale.json" |
-    grep -o '[0-9.]*$')
-  awk -v r="$ratio" 'BEGIN { exit !(r <= 25.0) }' \
-    || { echo "1024-node event/actor packet-rate ratio ${ratio}x > 25x"; exit 1; }
-fi
 
 echo "golden outputs identical"

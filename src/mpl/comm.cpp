@@ -721,97 +721,51 @@ Time Comm::process(net::Packet& pkt) {
   return 0;
 }
 
+Comm::Posting* Comm::take_posting(int src, int tag) {
+  for (auto it = posting_order_.begin(); it != posting_order_.end();) {
+    auto pit = postings_.find(*it);
+    if (pit == postings_.end()) {
+      it = posting_order_.erase(it);
+      continue;
+    }
+    Posting& p = pit->second;
+    if ((p.src == kAnySource || p.src == src) &&
+        (p.tag == kAnyTag || p.tag == tag)) {
+      posting_order_.erase(it);
+      return &p;
+    }
+    ++it;
+  }
+  return nullptr;
+}
+
 Time Comm::match_scan() {
-  const CostModel& cm = cost();
   Time charged = 0;
   bool progress = true;
   while (progress) {
     progress = false;
     // Admit envelopes strictly in per-source sequence order ("in-order
-    // message delivery", the MPL progress rule).
-    for (auto& [key, msg] : in_) {
-      if (msg.admitted || !msg.have_envelope) continue;
-      if (key.second !=
-          next_admit_[static_cast<std::size_t>(key.first)]) {
-        continue;
-      }
-      msg.admitted = true;
-      ++next_admit_[static_cast<std::size_t>(key.first)];
-      progress = true;
-      // Try the posted queue in post order.
-      bool bound = false;
-      for (const Request pid : posting_order_) {
-        auto pit = postings_.find(pid);
-        if (pit == postings_.end() || pit->second.matched) continue;
-        Posting& p = pit->second;
-        if ((p.src == kAnySource || p.src == key.first) &&
-            (p.tag == kAnyTag || p.tag == msg.tag)) {
-          charged += bind(p, key.first, key.second, msg);
-          bound = true;
-          break;
-        }
-      }
-      if (bound) continue;
-      // Then rcvncall registrations.
-      for (std::size_t ri = 0; ri < registrations_.size(); ++ri) {
-        if (registrations_[ri].tag == msg.tag) {
-          msg.matched = true;
-          msg.to_rcvncall = true;
-          msg.reg_index = static_cast<int>(ri);
-          charged += cm.mpi_match;
-          if (msg.is_rndv) {
-            msg.stage.resize(static_cast<std::size_t>(msg.total));
-            charged += cm.mpi_ctl;
-            send_ctl(key.first, MplKind::kCts, key.second,
-                     engine().now() + charged);
-          }
-          if (msg.assembled && !msg.delivered) {
-            msg.delivered = true;
-            complete_message(key.first, key.second);
-          }
-          bound = true;
-          break;
-        }
-      }
-      if (!bound) {
-        if (config_.max_unexpected > 0 && !msg.is_rndv &&
-            static_cast<std::int64_t>(unexpected_.size()) >=
-                config_.max_unexpected) {
-          // Unexpected queue full: shed this eager message instead of
-          // buffering without bound. The tombstone keeps the in-order
-          // cursor honest; no ack ever goes back, so the sender's retry
-          // budget exhausts and surfaces the loss on its side too.
-          msg.shed = true;
-          msg.stage.clear();
-          msg.stage.shrink_to_fit();
-          msg.early.clear();
-          msg.seen.clear();
-          msg.received = 0;
-          engine().counters().bump("mpl.unexpected_shed");
-          if (comm_status_ != Status::kPeerFailed) {
-            comm_status_ = Status::kResourceExhausted;
-          }
-        } else {
-          unexpected_.push_back(key);
-        }
+    // message delivery", the MPL progress rule): each source's cursor
+    // admits its run of consecutive envelopes, sources ascending. Only the
+    // envelope at a cursor can be admitted, so delivered messages are
+    // never walked again.
+    for (int src = 0; src < size(); ++src) {
+      std::int64_t& cursor = next_admit_[static_cast<std::size_t>(src)];
+      for (auto it = in_.find({src, cursor});
+           it != in_.end() && it->second.have_envelope;
+           it = in_.find({src, cursor})) {
+        ++cursor;
+        progress = true;
+        admit(src, it->first.second, it->second, charged);
       }
     }
-    // New postings may match queued unexpected messages.
-    for (auto uit = unexpected_.begin(); uit != unexpected_.end();) {
+    // New postings may match queued unexpected messages; with no unmatched
+    // posting left, none can.
+    for (auto uit = unexpected_.begin();
+         uit != unexpected_.end() && !posting_order_.empty();) {
       InMsg& msg = in_.at(*uit);
-      bool bound = false;
-      for (const Request pid : posting_order_) {
-        auto pit = postings_.find(pid);
-        if (pit == postings_.end() || pit->second.matched) continue;
-        Posting& p = pit->second;
-        if ((p.src == kAnySource || p.src == uit->first) &&
-            (p.tag == kAnyTag || p.tag == msg.tag)) {
-          charged += bind(p, uit->first, uit->second, msg);
-          bound = true;
-          break;
-        }
-      }
-      if (bound) {
+      if (Posting* p = take_posting(uit->first, msg.tag)) {
+        charged += bind(*p, uit->first, uit->second, msg);
         uit = unexpected_.erase(uit);
         progress = true;
       } else {
@@ -822,13 +776,61 @@ Time Comm::match_scan() {
   return charged;
 }
 
+void Comm::admit(int src, std::int64_t seq, InMsg& msg, Time& charged) {
+  const CostModel& cm = cost();
+  // Try the posted queue in post order.
+  if (Posting* p = take_posting(src, msg.tag)) {
+    charged += bind(*p, src, seq, msg);
+    return;
+  }
+  // Then rcvncall registrations.
+  for (std::size_t ri = 0; ri < registrations_.size(); ++ri) {
+    if (registrations_[ri].tag == msg.tag) {
+      msg.matched = true;
+      msg.to_rcvncall = true;
+      msg.reg_index = static_cast<int>(ri);
+      charged += cm.mpi_match;
+      if (msg.is_rndv) {
+        msg.stage.resize(static_cast<std::size_t>(msg.total));
+        charged += cm.mpi_ctl;
+        send_ctl(src, MplKind::kCts, seq, engine().now() + charged);
+      }
+      if (msg.assembled && !msg.delivered) {
+        msg.delivered = true;
+        complete_message(src, seq);
+      }
+      return;
+    }
+  }
+  if (config_.max_unexpected > 0 && !msg.is_rndv &&
+      static_cast<std::int64_t>(unexpected_.size()) >=
+          config_.max_unexpected) {
+    // Unexpected queue full: shed this eager message instead of
+    // buffering without bound. The tombstone keeps the in-order
+    // cursor honest; no ack ever goes back, so the sender's retry
+    // budget exhausts and surfaces the loss on its side too.
+    msg.shed = true;
+    msg.stage.clear();
+    msg.stage.shrink_to_fit();
+    msg.early.clear();
+    msg.seen.clear();
+    msg.received = 0;
+    engine().counters().bump("mpl.unexpected_shed");
+    if (comm_status_ != Status::kPeerFailed) {
+      comm_status_ = Status::kResourceExhausted;
+    }
+  } else {
+    unexpected_.emplace_back(src, seq);
+  }
+}
+
 Time Comm::bind(Posting& p, int src, std::int64_t seq, InMsg& msg) {
   const CostModel& cm = cost();
   Time charged = cm.mpi_match;
   p.matched = true;
   p.m_src = src;
-  p.m_seq = seq;
   msg.matched = true;
+  msg.posting = p.id;
   msg.user_buf = p.buf.data();
   msg.user_cap = static_cast<std::int64_t>(p.buf.size());
   if (msg.total > msg.user_cap) p.truncated = true;
@@ -870,20 +872,16 @@ void Comm::complete_message(int src, std::int64_t seq) {
                                    msg.reg_index)]);
     return;
   }
-  // Find the posting bound to this message and mark it done.
-  for (const Request pid : posting_order_) {
-    auto pit = postings_.find(pid);
-    if (pit == postings_.end()) continue;
-    Posting& p = pit->second;
-    if (p.matched && p.m_src == src && p.m_seq == seq && !p.done) {
-      p.done = true;
-      msg.stage.clear();
-      msg.stage.shrink_to_fit();
-      notify();
-      return;
-    }
-  }
-  SPLAP_REQUIRE(false, "matched message has no posting");
+  // The posting bind() matched this message to: a restarted peer reuses
+  // (src, seq), so an older posting bound to the same key from its
+  // previous life must not take the completion.
+  auto pit = postings_.find(msg.posting);
+  SPLAP_REQUIRE(pit != postings_.end() && !pit->second.done,
+                "matched message has no posting");
+  pit->second.done = true;
+  msg.stage.clear();
+  msg.stage.shrink_to_fit();
+  notify();
 }
 
 // ---------------------------------------------------------------------------

@@ -156,7 +156,6 @@ class Comm : private lapi::ReliableChannel::Sender {
   struct InMsg {
     bool is_rndv = false;
     bool have_envelope = false;
-    bool admitted = false;    // passed the in-order cursor
     bool matched = false;
     bool assembled = false;   // all bytes in `stage` or user buffer
     bool delivered = false;   // handed to a posting / rcvncall handler
@@ -172,6 +171,7 @@ class Comm : private lapi::ReliableChannel::Sender {
     std::int64_t user_cap = 0;      // bytes that fit (truncation guard)
     bool to_rcvncall = false;       // matched to a registration, not a posting
     int reg_index = -1;
+    Request posting = kNullRequest;  // the posting bind() matched it to
     std::map<std::int64_t, std::int64_t> seen;  // offset dedup
     /// Data packets that arrived before the envelope (out-of-order fabric).
     /// Payloads keep their pooled buffers until ingested.
@@ -194,7 +194,6 @@ class Comm : private lapi::ReliableChannel::Sender {
     bool failed = false;
     // Once matched:
     int m_src = -1;
-    std::int64_t m_seq = -1;
     bool done = false;
   };
 
@@ -235,6 +234,15 @@ class Comm : private lapi::ReliableChannel::Sender {
   /// Advance the per-source in-order cursors, match admitted messages
   /// against postings and rcvncall registrations. Returns extra CPU charged.
   Time match_scan();
+  /// Match one just-admitted message: a posting, else an rcvncall
+  /// registration, else the unexpected queue (or a shed tombstone when that
+  /// queue is full). Adds its CPU to `charged`, the scan's running total,
+  /// which also dates the CTS a rendezvous match sends.
+  void admit(int src, std::int64_t seq, InMsg& msg, Time& charged);
+  /// The first posting in post order that accepts a message from `src`
+  /// with `tag`, taken out of posting_order_ (the caller binds it), or
+  /// nullptr. Drops the ids of postings recv() has erased on the way.
+  Posting* take_posting(int src, int tag);
   /// Bind a message to a posting (CTS for rendezvous, stage copy for
   /// late-matched eager). Returns the CPU charged.
   Time bind(Posting& p, int src, std::int64_t seq, InMsg& msg);
@@ -263,6 +271,8 @@ class Comm : private lapi::ReliableChannel::Sender {
   std::map<std::pair<int, std::int64_t>, InMsg> in_;
   std::deque<std::pair<int, std::int64_t>> unexpected_;  // admission order
   std::map<Request, Posting> postings_;
+  /// Unmatched postings in post order: the only ones a new message may
+  /// match. bind() takes an id out; ids of erased postings drop lazily.
   std::deque<Request> posting_order_;
   std::vector<Registration> registrations_;
 

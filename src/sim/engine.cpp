@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <utility>
 
 #ifndef __has_feature
@@ -23,8 +25,115 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 
+#if !defined(__x86_64__)
+#error "the fiber switch (splap_fiber_switch and splap_fiber_entry in src/sim/engine.cpp, and SwitchFrame) is x86-64 System V only: port it to this architecture"
+#endif
+#if defined(__CET__) && (__CET__ & 2)
+#error "splap_fiber_switch returns onto another fiber's stack, which a CET shadow stack rejects: build without -fcf-protection=return/full"
+#endif
+
+// splap_fiber_switch(save, load): push the six callee-saved registers, MXCSR
+// and the x87 control word, store the stack pointer in *save, load `load`
+// as the stack pointer, pop the same set from there and return on that
+// stack. Everything else is caller-saved under the System V ABI, so the
+// compiler already treats it as clobbered by the call. There is no syscall:
+// the signal mask stays the thread's, and of the FP environment only the
+// control words move. The CFA rules hold on both stacks because both hold
+// the same frame layout (SwitchFrame below).
+//
+// splap_fiber_entry: where a fresh fiber's first switch returns to. The
+// stack pointer is the 16-byte-aligned top of the fiber's stack, so the
+// call into the entry function carried in %rbx meets the ABI's alignment;
+// that function never returns (ud2 traps if it does). Its CFI leaves the
+// return address undefined: unwinders and debuggers stop at this, the
+// outermost frame of every fiber.
+asm(R"(
+  .text
+  .globl splap_fiber_switch
+  .hidden splap_fiber_switch
+  .type splap_fiber_switch, @function
+  .p2align 4
+splap_fiber_switch:
+  .cfi_startproc
+  pushq %rbp
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %rbp, 0
+  pushq %rbx
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %rbx, 0
+  pushq %r12
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r12, 0
+  pushq %r13
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r13, 0
+  pushq %r14
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r14, 0
+  pushq %r15
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r15, 0
+  subq $8, %rsp
+  .cfi_adjust_cfa_offset 8
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  .cfi_adjust_cfa_offset -8
+  popq %r15
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %r15
+  popq %r14
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %r14
+  popq %r13
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %r13
+  popq %r12
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %r12
+  popq %rbx
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %rbx
+  popq %rbp
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %rbp
+  ret
+  .cfi_endproc
+  .size splap_fiber_switch, .-splap_fiber_switch
+
+  .globl splap_fiber_entry
+  .hidden splap_fiber_entry
+  .type splap_fiber_entry, @function
+  .p2align 4
+splap_fiber_entry:
+  .cfi_startproc
+  .cfi_undefined %rip
+  callq *%rbx
+  ud2
+  .cfi_endproc
+  .size splap_fiber_entry, .-splap_fiber_entry
+)");
+
+extern "C" void splap_fiber_switch(void** save, void* load);
+extern "C" void splap_fiber_entry();
+
 namespace splap::sim {
 namespace {
+
+/// What splap_fiber_switch leaves at a suspended side's saved stack
+/// pointer, lowest address first.
+struct SwitchFrame {
+  std::uint32_t mxcsr = 0;
+  std::uint16_t x87_cw = 0;
+  std::uint16_t pad = 0;
+  std::uint64_t r15 = 0, r14 = 0, r13 = 0, r12 = 0, rbx = 0, rbp = 0;
+  void (*ret)() = nullptr;
+};
+static_assert(sizeof(SwitchFrame) == 64, "splap_fiber_switch pops 64 bytes");
 
 thread_local Actor* tls_current_actor = nullptr;
 
@@ -124,11 +233,15 @@ Actor::Actor(Engine& engine, int id, int shard, std::string name,
   stack_bytes_ = bytes;
   asan_unpoison(stack_ + guard, bytes - guard);
   tsan_fiber_ = tsan_create_fiber();
-  (void)getcontext(&fiber_ctx_);
-  fiber_ctx_.uc_stack.ss_sp = stack_ + guard;
-  fiber_ctx_.uc_stack.ss_size = bytes - guard;
-  fiber_ctx_.uc_link = nullptr;  // fiber_main never returns
-  makecontext(&fiber_ctx_, &Actor::fiber_main, 0);
+  // The first grant "resumes" a frame at the top of the stack: this
+  // thread's control words, zeroed registers except %rbx, which carries the
+  // entry function, and a return into splap_fiber_entry.
+  auto* frame = new (stack_ + bytes - sizeof(SwitchFrame)) SwitchFrame{};
+  asm volatile("stmxcsr %0\n\tfnstcw %1"
+               : "=m"(frame->mxcsr), "=m"(frame->x87_cw));
+  frame->rbx = reinterpret_cast<std::uintptr_t>(&Actor::fiber_main);
+  frame->ret = &splap_fiber_entry;
+  fiber_sp_ = frame;
 }
 
 Actor::~Actor() { release_stack(); }
@@ -159,8 +272,8 @@ void Actor::fiber_main() {
   self->finished_ = true;
   asan_start_switch(nullptr, self->caller_stack_lo_, self->caller_stack_bytes_);
   tsan_switch_to(self->tsan_caller_);
-  (void)setcontext(&self->caller_ctx_);
-  std::abort();  // setcontext returns only on failure
+  splap_fiber_switch(&self->fiber_sp_, self->caller_sp_);
+  std::abort();  // nothing ever switches back to a finished fiber
 }
 
 void Actor::run_body() {
@@ -183,11 +296,15 @@ void Actor::grant() {
   tls_current_actor = this;
   running_ = true;
   void* fake_stack = nullptr;
-  asan_start_switch(&fake_stack, fiber_ctx_.uc_stack.ss_sp,
-                    fiber_ctx_.uc_stack.ss_size);
+#if defined(SPLAP_ASAN_FIBERS)
+  // The fiber's stack as ASan sees it: the mapping less its guard page.
+  // (Only here: page_bytes() is not free on every grant.)
+  asan_start_switch(&fake_stack, stack_ + page_bytes(),
+                    stack_bytes_ - page_bytes());
+#endif
   tsan_caller_ = tsan_current_fiber();
   tsan_switch_to(tsan_fiber_);
-  (void)swapcontext(&caller_ctx_, &fiber_ctx_);
+  splap_fiber_switch(&caller_sp_, fiber_sp_);
   asan_finish_switch(fake_stack, nullptr, nullptr);
   running_ = false;
   tls_current_actor = granter;
@@ -204,7 +321,7 @@ void Actor::switch_out() {
   void* fake_stack = nullptr;
   asan_start_switch(&fake_stack, caller_stack_lo_, caller_stack_bytes_);
   tsan_switch_to(tsan_caller_);
-  (void)swapcontext(&fiber_ctx_, &caller_ctx_);
+  splap_fiber_switch(&fiber_sp_, caller_sp_);
   asan_finish_switch(fake_stack, &caller_stack_lo_, &caller_stack_bytes_);
 }
 

@@ -3,11 +3,13 @@
 // A simulated SP task is an Actor: user code runs on its own fiber stack so
 // it can block naturally (LAPI_Waitcntr really blocks), but the engine admits
 // exactly ONE runnable entity at any instant — either one actor or one event
-// callback. Every actor is a ucontext fiber on its engine's thread: an event
-// calls Actor::grant(), which switches onto the actor's stack, and the actor
-// switches back when it suspends or finishes. Execution is therefore
-// sequential, race-free and bit-reproducible while the public API looks like
-// a normal blocking communication library.
+// callback. Every actor is a fiber on its engine's thread: an event calls
+// Actor::grant(), which switches onto the actor's stack, and the actor
+// switches back when it suspends or finishes. The switch is a few x86-64
+// instructions in engine.cpp (callee-saved registers, MXCSR and the x87
+// control word, then the stack pointer), with no syscall. Execution is
+// therefore sequential, race-free and bit-reproducible while the public API
+// looks like a normal blocking communication library.
 //
 // Fiber rules:
 //  - Never suspend inside a catch handler. The C++ runtime keeps its
@@ -19,6 +21,12 @@
 //    SPLAP_AUDIT builds check this in suspend().
 //  - A fiber never migrates: it runs only on the thread that runs its
 //    engine.
+//  - The signal mask belongs to the OS thread, not to a fiber: the switch
+//    neither saves nor restores it, so a mask an actor sets holds for every
+//    fiber of its engine.
+//  - The floating-point rounding mode and exception masks belong to the
+//    fiber: each switch saves and restores MXCSR and the x87 control word.
+//    A fresh fiber starts with those of the thread that spawned it.
 //
 // Virtual time only advances when the engine pops an event; actors charge
 // CPU work explicitly through Actor::compute(). Ties in the event queue break
@@ -33,8 +41,6 @@
 // under the same (time, seq) key, so the drain order is bit-identical to a
 // single priority queue — and steady state never touches the allocator.
 #pragma once
-
-#include <ucontext.h>
 
 #include <cstdint>
 #include <exception>
@@ -120,8 +126,8 @@ class Actor {
   Actor(Engine& engine, int id, int shard, std::string name,
         std::function<void(Actor&)> body);
 
-  // makecontext entry point: runs the body of Actor::current(), then leaves
-  // the fiber for good.
+  // First code on a fresh fiber (called by the entry stub in engine.cpp):
+  // runs the body of Actor::current(), then leaves the fiber for good.
   static void fiber_main();
   void run_body();
   // Called off the actor's stack (an event, or engine teardown): switch onto
@@ -151,11 +157,13 @@ class Actor {
   std::function<void(Actor&)> body_;  // moved onto the fiber when it starts
 
   // The fiber. stack_ is the whole mapping, a PROT_NONE guard page at the
-  // low end included; nullptr once released.
+  // low end included; nullptr once released. A suspended side of a switch
+  // is just its saved stack pointer: the switch left the registers it must
+  // restore on top of that stack.
   char* stack_ = nullptr;
   std::size_t stack_bytes_ = 0;
-  ucontext_t fiber_ctx_{};   // resumes the actor
-  ucontext_t caller_ctx_{};  // resumes whoever granted
+  void* fiber_sp_ = nullptr;   // resumes the actor
+  void* caller_sp_ = nullptr;  // resumes whoever granted
   // Sanitizer fiber bookkeeping; stays null in uninstrumented builds.
   const void* caller_stack_lo_ = nullptr;  // ASan: the granter's stack
   std::size_t caller_stack_bytes_ = 0;

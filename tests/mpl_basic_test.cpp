@@ -2,6 +2,7 @@
 // matching (tags, wildcards), truncation, and multi-task traffic.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <numeric>
 #include <vector>
 
@@ -233,6 +234,73 @@ TEST(MplBasicTest, InOrderDeliveryPerSource) {
       }
     }
   }), Status::kOk);
+}
+
+TEST(MplBasicTest, LongMixedMatchingKeepsPerSourceOrder) {
+  // Three senders stream into one receiver, whose irecv/wait postings are
+  // never erased (only recv() erases its posting), so thousands of retired
+  // postings pile up. Every batch pairs an any-source posting with a
+  // specific-source one. Checked in post order, each posting receives its
+  // source's next message, and a specific-source posting only its source's.
+  auto cfg = machine_config(4);
+  cfg.fabric.contention_jitter = microseconds(20);
+  cfg.fabric.seed = 11;
+  net::Machine m(cfg);
+  constexpr int kPerSender = 1000;
+  constexpr int kTag = 9;
+  int received = 0;
+  ASSERT_EQ(run_mpl(m, [&](Comm& comm) {
+    if (comm.rank() != 0) {
+      for (std::int32_t i = 0; i < kPerSender; ++i) {
+        const std::int32_t msg[2] = {comm.rank(), i};
+        ASSERT_EQ(comm.send(0, kTag, bytes_of(msg, sizeof msg)), Status::kOk);
+        if (i % 7 == comm.rank()) {
+          comm.node().task().compute(microseconds(30 * comm.rank()));
+        }
+      }
+      return;
+    }
+    struct Slot {
+      explicit Slot(int s) : src(s) {}
+      int src;
+      std::int32_t msg[2] = {-1, -1};
+      RecvStatus st;
+    };
+    std::array<std::int32_t, 4> next{};  // per source: next index expected
+    for (int round = 0; received < 3 * kPerSender; ++round) {
+      // An any-source posting plus, while the any-source one cannot take
+      // that source's last message, a specific-source one; which of the two
+      // is posted first alternates.
+      std::vector<Slot> batch;
+      batch.emplace_back(kAnySource);
+      const int src = 1 + round % 3;
+      if (kPerSender - next[static_cast<std::size_t>(src)] >= 2) {
+        batch.emplace_back(src);
+        if (round % 2 == 1) std::swap(batch[0], batch[1]);
+      }
+      std::vector<Request> reqs;
+      for (Slot& sl : batch) {
+        reqs.push_back(comm.irecv(
+            sl.src, kTag,
+            std::span<std::byte>(reinterpret_cast<std::byte*>(sl.msg),
+                                 sizeof sl.msg),
+            &sl.st));
+      }
+      for (const Request r : reqs) comm.wait(r);
+      for (const Slot& sl : batch) {
+        ASSERT_GE(sl.st.source, 1);
+        ASSERT_EQ(sl.msg[0], sl.st.source);
+        if (sl.src != kAnySource) {
+          ASSERT_EQ(sl.st.source, sl.src) << "posting took another source";
+        }
+        std::int32_t& want = next[static_cast<std::size_t>(sl.st.source)];
+        ASSERT_EQ(sl.msg[1], want) << "source " << sl.st.source << " overtaken";
+        ++want;
+        ++received;
+      }
+    }
+  }), Status::kOk);
+  EXPECT_EQ(received, 3 * kPerSender);
 }
 
 TEST(MplBasicTest, TestProbesCompletionNonBlocking) {

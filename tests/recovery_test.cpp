@@ -365,6 +365,59 @@ TEST_P(RecoveryTest, MplSendToDeadPeer) {
   EXPECT_EQ(m.engine().counters().get("mpl.peer_failed"), 1);
 }
 
+// ---------------------------------------------------------------------------
+// Scenario 7: an MPL receive bound to a dead life, then reposted. The
+// restarted sender's sequence space starts again at 0, so its first message
+// reuses the (source, seq) key the dead life's rendezvous send was matched
+// under. The failed first posting must not take the new message's
+// completion: the repost receives it.
+// ---------------------------------------------------------------------------
+
+TEST_P(RecoveryTest, MplRepostAfterRestartReceivesTheNewLife) {
+  net::Machine m(crash_machine(GetParam(), 2));
+  mpl::Config cfg;
+  cfg.retransmit_timeout = microseconds(200);
+  cfg.max_retries = 4;
+  constexpr int kTag = 7;
+  m.kill_node(1, microseconds(40));  // RTS matched, no data yet
+  m.restart_node(1, milliseconds(20.0), [&](net::Node& n) {
+    mpl::Comm comm(n, cfg);
+    const std::int32_t value = 42;
+    EXPECT_EQ(comm.send(0, kTag,
+                        std::span<const std::byte>(
+                            reinterpret_cast<const std::byte*>(&value),
+                            sizeof value)),
+              Status::kOk);
+    comm.term();
+  });
+
+  Status after_first = Status::kUnknown;
+  std::int32_t got = 0;
+  const Status run = m.run_spmd([&](net::Node& n) {
+    mpl::Comm comm(n, cfg);
+    if (comm.rank() == 0) {
+      std::vector<std::byte> big(std::size_t{1} << 20);
+      // irecv + wait, not recv: the failed posting stays registered.
+      comm.wait(comm.irecv(1, kTag, big));
+      after_first = comm.comm_status();
+      comm.wait(comm.irecv(
+          1, kTag,
+          std::span<std::byte>(reinterpret_cast<std::byte*>(&got),
+                               sizeof got)));
+    } else {
+      std::vector<std::byte> big(std::size_t{1} << 20, std::byte{0x5a});
+      (void)comm.send(0, kTag, big);  // rendezvous: the crash strands it
+      ADD_FAILURE() << "the first life outlived its crash";
+    }
+    comm.term();
+  });
+
+  EXPECT_EQ(run, Status::kOk);
+  EXPECT_EQ(after_first, Status::kPeerFailed);
+  EXPECT_EQ(got, 42);
+  EXPECT_EQ(m.incarnation(1), 1);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RecoveryTest, ::testing::ValuesIn(kSeeds),
                          seed_name);
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <cstdio>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -23,6 +26,21 @@ int deep_frames(Actor& self, int depth) {
     return frame[0];
   }
   return deep_frames(self, depth - 1) + frame[sizeof frame - 1];
+}
+
+/// The SSE unit's rounding mode, read back from arithmetic: 1/3 and
+/// -(-1/3) agree under round-to-nearest and straddle the exact value under
+/// the directed modes. (std::fegetround reads the x87 control word, so the
+/// two probes together cover both halves of the mode a fiber switch must
+/// carry.)
+int sse_rounding() {
+  volatile double one = 1.0;
+  volatile double minus_one = -1.0;  // volatile: no folding -(-x/y) to x/y
+  volatile double three = 3.0;
+  const double pos = one / three;
+  const double neg = -(minus_one / three);
+  if (pos == neg) return FE_TONEAREST;
+  return pos > neg ? FE_UPWARD : FE_DOWNWARD;
 }
 
 TEST(EngineTest, EventsRunInTimeOrder) {
@@ -337,6 +355,137 @@ TEST(EngineTest, KillShardMidComputeLeavesTimerHarmless) {
   EXPECT_FALSE(resumed);
   EXPECT_TRUE(eng.actors()[0]->finished());
   EXPECT_EQ(eng.now(), microseconds(100));
+}
+
+TEST(EngineTest, FibersKeepTheirOwnRoundingMode) {
+  // Each fiber carries its own MXCSR and x87 control word across switches,
+  // and a fresh fiber starts with those of the thread that spawned it.
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  Engine eng;
+  std::vector<std::string> seen;
+  auto probe = [&seen](const char* who, int want) {
+    const bool x87 = std::fegetround() == want;
+    const bool sse = sse_rounding() == want;
+    seen.push_back(std::string(who) + (x87 ? " x87 ok" : " x87 lost") +
+                   (sse ? " sse ok" : " sse lost"));
+  };
+  eng.spawn("up", [&](Actor& self) {
+    ASSERT_EQ(std::fesetround(FE_UPWARD), 0);
+    for (int i = 0; i < 3; ++i) {
+      self.compute(microseconds(2));
+      probe("up", FE_UPWARD);
+    }
+  });
+  eng.spawn("down", [&](Actor& self) {
+    probe("fresh", FE_TONEAREST);
+    ASSERT_EQ(std::fesetround(FE_DOWNWARD), 0);
+    for (int i = 0; i < 3; ++i) {
+      self.compute(microseconds(3));
+      probe("down", FE_DOWNWARD);
+    }
+  });
+  EXPECT_EQ(eng.run(), Status::kOk);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(sse_rounding(), FE_TONEAREST);
+  EXPECT_EQ(seen, (std::vector<std::string>{
+                      "fresh x87 ok sse ok", "up x87 ok sse ok",
+                      "down x87 ok sse ok", "up x87 ok sse ok",
+                      "down x87 ok sse ok", "up x87 ok sse ok",
+                      "down x87 ok sse ok"}));
+}
+
+TEST(EngineTest, FreshFiberStackIsAbiAligned) {
+  // The initial frame must leave the body on a stack the ABI's alignment
+  // rules hold for: the compiler realigns only for over-aligned locals, so
+  // a misaligned fiber shows in a 16-aligned local, and glibc's long double
+  // formatting faults on it.
+  Engine eng;
+  std::vector<std::uintptr_t> misaligned;
+  std::string text;
+  eng.spawn("fresh", [&](Actor& self) {
+    alignas(16) char sse[16] = {};
+    alignas(64) char line[64] = {};
+    volatile std::uintptr_t a16 = reinterpret_cast<std::uintptr_t>(sse);
+    volatile std::uintptr_t a64 = reinterpret_cast<std::uintptr_t>(line);
+    misaligned.push_back(a16 % 16);
+    misaligned.push_back(a64 % 64);
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.2Lf", 1.25L);
+    text = buf;
+    self.compute(microseconds(1));
+    alignas(64) char after[64] = {};
+    volatile std::uintptr_t b64 = reinterpret_cast<std::uintptr_t>(after);
+    misaligned.push_back(b64 % 64);
+    misaligned.push_back(reinterpret_cast<std::uintptr_t>(line) % 64);
+    sse[0] = line[0] = after[0] = 1;
+  });
+  EXPECT_EQ(eng.run(), Status::kOk);
+  EXPECT_EQ(misaligned, (std::vector<std::uintptr_t>{0, 0, 0, 0}));
+  EXPECT_EQ(text, "1.25");
+}
+
+/// Read afresh on every step, so the optimizer cannot fold LiveValues'
+/// loop into closed forms: each value is really carried across switches.
+volatile std::uint64_t g_salt = 0x9e3779b97f4a7c15u;
+
+/// A dozen values that depend on each other, more than the six callee-saved
+/// registers hold.
+struct LiveValues {
+  explicit LiveValues(std::uint64_t k)
+      : a(k), b(2 * k), c(3 * k), d(4 * k), e(5 * k), f(6 * k), g(7 * k),
+        h(8 * k), p(9 * k), q(10 * k), r(11 * k), s(12 * k) {}
+  [[gnu::always_inline]] void step(std::uint64_t i, std::uint64_t salt) {
+    a = a * 3 + salt;
+    b ^= a + i;
+    c += b >> 3;
+    d = d * 5 + (c ^ salt);
+    e += d ^ i;
+    f = ((f << 1) | (f >> 63)) + e;
+    g ^= f * 7;
+    h += g >> 5;
+    p = p * 9 + h;
+    q ^= p + salt;
+    r += q >> 7;
+    s = s * 11 + r;
+  }
+  bool operator==(const LiveValues&) const = default;
+  std::uint64_t a, b, c, d, e, f, g, h, p, q, r, s;
+};
+
+TEST(EngineTest, CalleeSavedValuesSurviveInterleavedSwitches) {
+  // 8 fibers interleave 10k switches each, through both compute() and a
+  // bare suspend() (whose frames save fewer registers of their own): a
+  // register the switch dropped or crossed between fibers shows as a
+  // wrong value.
+  constexpr int kActors = 8;
+  constexpr std::uint64_t kRounds = 10000;
+  Engine eng;
+  std::vector<LiveValues> got;
+  for (int id = 0; id < kActors; ++id) got.emplace_back(0);
+  for (int id = 0; id < kActors; ++id) {
+    eng.spawn("regs" + std::to_string(id), [&got, id](Actor& self) {
+      const std::uint64_t k = static_cast<std::uint64_t>(id) + 1;
+      LiveValues v(k);
+      for (std::uint64_t i = 0; i < kRounds; ++i) {
+        const Time d = static_cast<Time>(1 + (i + k) % 3);
+        if (i % 2 == 0) {
+          self.compute(d);
+        } else {
+          self.engine().schedule_after(
+              d, [&self] { self.engine().wake(self); });
+          self.suspend("regs");
+        }
+        v.step(i, g_salt);
+      }
+      got[static_cast<std::size_t>(id)] = v;
+    });
+  }
+  EXPECT_EQ(eng.run(), Status::kOk);
+  for (int id = 0; id < kActors; ++id) {
+    LiveValues want(static_cast<std::uint64_t>(id) + 1);
+    for (std::uint64_t i = 0; i < kRounds; ++i) want.step(i, g_salt);
+    EXPECT_TRUE(got[static_cast<std::size_t>(id)] == want) << "actor " << id;
+  }
 }
 
 }  // namespace
