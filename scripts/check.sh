@@ -47,11 +47,14 @@
 #              virtual-time race auditing across every suite, chaos included
 #   perf       wall-clock and benchmark checks kept out of tier-1: every
 #              seed pinned in perfbench/fingerprints.json re-run and matched
-#              (scripts/check_pins.py), and the bench_scale actor-cost
-#              ceiling on the optimized build — at 1024 nodes a bare event
-#              chain may move packets at most 25x faster than one actor per
-#              node (event_over_actor_1024 <= 25); it fails if an actor ever
-#              costs an OS thread again
+#              (scripts/check_pins.py); the RSS-growth gate — lapi_msg and
+#              ga_app peak RSS after 16 rounds at most 1.25x that after one
+#              (scripts/check_rss.py; per-message state must be forgotten,
+#              and RSS depends on the allocator, so not tier-1); and the
+#              bench_scale actor-cost ceiling on the optimized build — at
+#              1024 nodes a bare event chain may move packets at most 25x
+#              faster than one actor per node (event_over_actor_1024 <= 25);
+#              it fails if an actor ever costs an OS thread again
 #
 # Stages can be selected by name: `scripts/check.sh lint audit` runs just
 # those two; no arguments runs everything.
@@ -175,8 +178,9 @@ if want audit; then
 fi
 
 if want perf; then
-  echo "== perf: pinned fingerprints and the actor-cost ceiling =="
+  echo "== perf: pinned fingerprints, RSS growth and the actor-cost ceiling =="
   python3 scripts/check_pins.py
+  python3 scripts/check_rss.py
   cmake -B build -S . >/dev/null
   cmake --build build -j"$(nproc)" --target bench_scale
   scale_json=$(mktemp)

@@ -156,6 +156,10 @@ Time AssemblyEngine::process(net::Packet& pkt) {
     return cm.lapi_pkt_rx;
   }
 
+  // The origin's low-water mark: everything below it is settled there, so
+  // the dedup state below it goes (the packet's own id is never below it).
+  if (m.low_water > 0) advance_mark(pkt.src, m.low_water);
+
   // Copies incoming fragment bytes into the assembly buffer; returns the
   // copy charge. Duplicate fragments (retransmits) are ignored.
   auto ingest = [&](Assembly& as, std::int64_t offset,
@@ -225,6 +229,7 @@ Time AssemblyEngine::process(net::Packet& pkt) {
       const auto key = std::pair<int, std::int64_t>{pkt.src, m.msg_id};
       auto at = assemblies_.find(key);
       if (at == assemblies_.end()) {
+        if (below_mark(pkt.src, m.msg_id)) return reack_settled(pkt, now);
         if (!admit_partial(now)) {
           // Partial table full: shed the whole message (graceful
           // degradation, not abort) and tell the origin to retry soon.
@@ -296,6 +301,7 @@ Time AssemblyEngine::process(net::Packet& pkt) {
       const auto key = std::pair<int, std::int64_t>{pkt.src, m.msg_id};
       auto at = assemblies_.find(key);
       if (at == assemblies_.end()) {
+        if (below_mark(pkt.src, m.msg_id)) return reack_settled(pkt, now);
         if (!admit_partial(now)) {
           progress_.engine().counters().bump("lapi.partials_shed");
           send_nack(pkt.src, m.msg_id, m.epoch);
@@ -346,7 +352,12 @@ Time AssemblyEngine::process(net::Packet& pkt) {
 
     case PktKind::kGetReq: {
       const auto key = std::pair<int, std::int64_t>{pkt.src, m.msg_id};
-      Assembly& as = assemblies_[key];
+      auto at = assemblies_.find(key);
+      if (at == assemblies_.end()) {
+        if (below_mark(pkt.src, m.msg_id)) return reack_settled(pkt, now);
+        at = assemblies_.emplace(key, Assembly{}).first;
+      }
+      Assembly& as = at->second;
       if (as.completed) {
         send_ack(pkt.src, m.msg_id, true, false, nullptr, nullptr,
                  as.pkts_ingested, m.epoch, now + cm.lapi_ack);
@@ -354,6 +365,7 @@ Time AssemblyEngine::process(net::Packet& pkt) {
       }
       nacked_.erase(key);
       as.completed = true;  // instant: a request, never a partial
+      as.completion_ran = true;  // the serve below holds its own header
       as.has_header = true;
       as.pkts_ingested = 1;
       as.hdr = std::static_pointer_cast<const WireMeta>(pkt.meta);
@@ -431,10 +443,14 @@ Time AssemblyEngine::process(net::Packet& pkt) {
           now + c, [this, key,
                     meta = std::static_pointer_cast<const WireMeta>(pkt.meta),
                     origin = pkt.src] {
-            std::int64_t prev;
+            std::int64_t prev = 0;
             auto it = rmw_cache_.find(key);
             if (it != rmw_cache_.end()) {
               prev = it->second;  // duplicate request: do NOT re-execute
+            } else if (below_mark(key.first, key.second)) {
+              // Settled at the origin and its result forgotten: a stale
+              // duplicate. Answer it (the origin ignores the value) and do
+              // NOT re-execute.
             } else {
               prev = *meta->rmw_var;
               switch (meta->rmw_op) {
@@ -539,6 +555,9 @@ void AssemblyEngine::finish_assembly(int origin, std::int64_t msg_id) {
                  h2.org_cntr, h2.cmpl_cntr, a2.pkts_ingested, h2.epoch,
                  progress_.engine().now());
       }
+      // The mark passed this message while its completion was pending (the
+      // origin settles at the DATA ack when it wants no DONE ack).
+      if (below_mark(key.first, key.second)) assemblies_.erase(jt);
       progress_.notify();
     });
   }
@@ -554,12 +573,12 @@ void AssemblyEngine::forget_origin(int origin) {
   for (auto it = assemblies_.lower_bound(lo);
        it != assemblies_.end() && it->first.first == origin;) {
     Assembly& as = it->second;
-    if (as.completed && as.completion && !as.completion_ran) {
-      // Completion job still queued on the service pool: let it finish
-      // against this record. Its msg id stays burned for the new life; a
-      // collision there would need the new life to issue that many ops
-      // within one completion-pool latency of its first packet, which
-      // virtual restart delays make impossible.
+    if (as.completed && !as.completion_ran) {
+      // finish_assembly or the completion job (queued or running on the
+      // service pool) will still touch this record: let it finish. Its msg
+      // id stays burned for the new life; a collision there would need the
+      // new life to issue that many ops within one completion-pool latency
+      // of its first packet, which virtual restart delays make impossible.
       ++it;
       continue;
     }
@@ -574,6 +593,34 @@ void AssemblyEngine::forget_origin(int origin) {
        it != rmw_cache_.end() && it->first.first == origin;) {
     it = rmw_cache_.erase(it);
   }
+  marks_.erase(origin);
+}
+
+void AssemblyEngine::advance_mark(int origin, std::int64_t mark) {
+  std::int64_t& known = marks_.try_emplace(origin, 0).first->second;
+  if (mark <= known) return;
+  known = mark;
+  const auto lo = std::pair<int, std::int64_t>{
+      origin, std::numeric_limits<std::int64_t>::min()};
+  const auto hi = std::pair<int, std::int64_t>{origin, mark};
+  for (auto it = assemblies_.lower_bound(lo);
+       it != assemblies_.end() && it->first < hi;) {
+    if (it->second.completed && it->second.completion_ran) {
+      it = assemblies_.erase(it);
+    } else {
+      ++it;  // a partial, or a completion still pending
+    }
+  }
+  rmw_cache_.erase(rmw_cache_.lower_bound(lo), rmw_cache_.lower_bound(hi));
+  nacked_.erase(nacked_.lower_bound(lo), nacked_.lower_bound(hi));
+}
+
+Time AssemblyEngine::reack_settled(const net::Packet& pkt, Time now) {
+  const WireMeta& m = pkt.meta_as<WireMeta>();
+  const Time ack = progress_.cost().lapi_ack;
+  send_ack(pkt.src, m.msg_id, /*data=*/true, /*done=*/m.cmpl_cntr != nullptr,
+           m.org_cntr, m.cmpl_cntr, /*pkts=*/0, m.epoch, now + ack);
+  return ack;
 }
 
 void AssemblyEngine::reclaim_peer_partials(int origin) {

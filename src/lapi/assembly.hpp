@@ -12,11 +12,19 @@
 //     internal Put / direct response packet;
 //   - the two-level DATA/DONE ack emission, including re-acks for
 //     retransmitted traffic into completed assemblies (duplicate
-//     suppression — the user may already have reused the buffer).
+//     suppression — the user may already have reused the buffer);
+//   - per-origin low-water marks (WireMeta::low_water): every id below an
+//     origin's mark is settled at the origin, so the completed markers,
+//     RMW results and NACK suppressions below it are forgotten, and a
+//     packet below it with no marker is answered as its completed marker
+//     would have answered it.
 //
 // Invariant owned here: user-visible delivery happens exactly once per
 // message — duplicates of any packet of a completed message are answered
 // with acks only, and a fragment ingests at most once (the seen map).
+// Duplicate-suppression markers live only at or above the origin's mark
+// (plus markers whose completion handler has not run yet), so the state
+// held per origin is bounded by its unsettled window, not by its history.
 //
 // What it does NOT know: handler tables, completion-service threads, or the
 // Context type — those stay behind the Env callback interface, so this layer
@@ -86,6 +94,19 @@ class AssemblyEngine {
   /// duplicate-suppression markers are not partials.
   std::size_t live_partials() const { return live_partials_; }
 
+  /// Per-message dedup state currently held (introspection: the
+  /// bounded-state tests). Each count stays within the origins' unsettled
+  /// windows plus the markers whose completion handler is still pending.
+  struct DedupState {
+    std::size_t markers = 0;     // completed-message markers
+    std::size_t rmw_cached = 0;  // executed RMW results kept for duplicates
+    std::size_t nacked = 0;      // NACK suppressions
+  };
+  DedupState dedup_state() const {
+    return {assemblies_.size() - live_partials_, rmw_cache_.size(),
+            nacked_.size()};
+  }
+
   /// Incarnation epoch of the owning context; stamped into every reply this
   /// layer emits (acks, NACKs, credits, RMW responses).
   void set_epoch(std::int64_t e) { epoch_ = e; }
@@ -93,8 +114,9 @@ class AssemblyEngine {
   /// The peer `origin` restarted with a new incarnation: drop every trace of
   /// its previous life. Partials from it can never complete, completed
   /// markers would collide with the new life's restarted msg-id sequence
-  /// (suppressing real deliveries), and the RMW dedup cache would swallow
-  /// the new life's first RMWs.
+  /// (suppressing real deliveries), the RMW dedup cache would swallow the
+  /// new life's first RMWs, and its low-water mark belongs to the old
+  /// sequence.
   void forget_origin(int origin);
 
   /// The peer was declared dead but no restart has been seen: reclaim its
@@ -109,6 +131,9 @@ class AssemblyEngine {
     PktKind kind = PktKind::kPutHdr;
     bool has_header = false;
     bool completed = false;
+    /// Nothing will touch the record again: the completion handler (if
+    /// any) has run, or the message needs none (set by finish_assembly, and
+    /// at arrival for a Get request). Only such markers may be forgotten.
     bool completion_ran = false;
     std::int64_t total = -1;
     std::int64_t received = 0;
@@ -139,6 +164,21 @@ class AssemblyEngine {
                 Counter* org_cntr, Counter* cmpl_cntr, std::int64_t pkts,
                 std::int64_t origin_epoch, Time when);
   void finish_assembly(int origin, std::int64_t msg_id);
+  /// Is (origin, msg_id) below the origin's low-water mark: settled at the
+  /// origin, never retransmitted again?
+  bool below_mark(int origin, std::int64_t msg_id) const {
+    auto it = marks_.find(origin);
+    return it != marks_.end() && msg_id < it->second;
+  }
+  /// Raise `origin`'s mark to `mark` (marks only grow within a life) and
+  /// forget the dedup state below it: completed markers whose completion
+  /// has run, cached RMW results and NACK suppressions. Partials stay
+  /// (their cancel or the TTL sweep reclaims them).
+  void advance_mark(int origin, std::int64_t mark);
+  /// Answer a packet of a forgotten (settled) message as its completed
+  /// marker would have: one re-ack at now + lapi_ack. The origin holds no
+  /// record of the message, so the ack's fields are never read.
+  Time reack_settled(const net::Packet& pkt, Time now);
   /// NACK `origin` about msg_id, at most once until that message shows
   /// forward progress (an accepted packet clears the suppression).
   void send_nack(int origin, std::int64_t msg_id, std::int64_t origin_epoch);
@@ -163,6 +203,9 @@ class AssemblyEngine {
   const bool checksums_;
 
   AssemblyMap assemblies_;
+  /// Each origin's low-water mark (the highest WireMeta::low_water seen from
+  /// its current life).
+  std::map<int, std::int64_t> marks_;
   std::map<std::pair<int, std::int64_t>, std::int64_t> rmw_cache_;
   /// Messages already NACKed with no forward progress since (suppresses
   /// NACK storms when a burst of one message's packets all overflow).

@@ -171,6 +171,11 @@ class Context : private ProgressEngine::Sink, private AssemblyEngine::Env {
   Time srtt() const { return send_.srtt(); }
   /// Incomplete reassembly partials currently held at this target.
   std::size_t partials() const { return assembly_.live_partials(); }
+  /// Per-message dedup state held at this target (completed markers, cached
+  /// RMW results, NACK suppressions): bounded by the origins' windows.
+  AssemblyEngine::DedupState dedup_state() const {
+    return assembly_.dedup_state();
+  }
   /// Flow-control credits currently available toward `peer` (the full
   /// window when credits are off or nothing is outstanding).
   std::int64_t credits_available(int peer) const {

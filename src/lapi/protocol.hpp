@@ -70,6 +70,14 @@ struct WireMeta {
   /// Message id, unique per origin context. Keyed (origin, msg_id) at the
   /// target for assembly and duplicate suppression.
   std::int64_t msg_id = 0;
+  /// The origin's low-water mark, stamped into every header and data packet
+  /// when it is (re)transmitted: the lowest msg id the origin has not yet
+  /// settled (send record still live, or allocated by a submit that has not
+  /// recorded it). Every id below it is settled for good in this
+  /// incarnation, so the target may forget its duplicate-suppression state
+  /// for them; never above the packet's own msg_id. Logical metadata only:
+  /// Packet::header_bytes does not charge it. 0 on control packets.
+  std::int64_t low_water = 0;
   std::int64_t offset = 0;     // kData: byte offset of this fragment
   std::int64_t total_len = 0;  // header packets: full udata length
   /// End-to-end CRC of this packet's payload bytes, stamped by the origin

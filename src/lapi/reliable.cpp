@@ -119,6 +119,12 @@ void SendEngine::submit(PktKind kind, int target,
                         std::shared_ptr<WireMeta> hdr,
                         std::shared_ptr<std::vector<std::byte>> data,
                         Time extra_call_cost) {
+  PeerState& p = peer_state(target);
+  p.addressed_epoch = std::max(p.addressed_epoch, hdr->dst_epoch);
+  if (latched_dead(p, *hdr)) {
+    fail_at_submit(kind, *hdr);
+    return;
+  }
   // Get requests are counted outstanding from the call itself: the fence
   // must cover a Get whose request packet is still being injected.
   if (kind == PktKind::kGetReq) ++outstanding_gets_;
@@ -147,7 +153,6 @@ void SendEngine::submit(PktKind kind, int target,
     }
   }
   const Time copy_in_call = xfer.call_copy + xfer.pin_cost;
-  PeerState& p = peer_state(target);
   // Loopback traffic never competes for a peer's adapter buffering, so the
   // credit gate only governs remote targets.
   const bool flow = credit_window_ > 0 && target != task_id_;
@@ -159,6 +164,14 @@ void SendEngine::submit(PktKind kind, int target,
   Time inject_at;
   bool park_for_credits = false;
   if (sim::Actor* a = sim::Actor::current()) {
+    // The id is allocated but not recorded while this call suspends (credit
+    // park, compute): hold the low-water mark at or below it until it is.
+    submitting_.push_back(hdr->msg_id);
+    struct Unlist {
+      std::vector<std::int64_t>& ids;
+      std::int64_t id;
+      ~Unlist() { ids.erase(std::find(ids.begin(), ids.end(), id)); }
+    } unlist{submitting_, hdr->msg_id};
     if (flow && p.liveness != PeerState::Liveness::kSuspected && !admits()) {
       // Backpressure: the call parks until the peer's credit pool can admit
       // this message (and no earlier handler-context send is queued ahead).
@@ -185,6 +198,12 @@ void SendEngine::submit(PktKind kind, int target,
                copy_in_call);
     inject_at = engine.now();
     progress_.exit_library();
+    if (latched_dead(p, *hdr)) {
+      // The verdict landed while this call was suspended.
+      if (kind == PktKind::kGetReq) --outstanding_gets_;
+      fail_at_submit(kind, *hdr);
+      return;
+    }
   } else {
     // Handler/dispatcher context: the send is part of the dispatcher's
     // current work and queues behind it.
@@ -379,9 +398,11 @@ void SendEngine::transmit_packets(const SendRecord& rec,
       rec.data ? static_cast<std::int64_t>(rec.data->size()) : 0;
 
   const FragPlan plan = frag_plan(rec.kind, hdr, len, cm);
+  const std::int64_t lw = low_water();
   if (skip_first > 0) {
     --skip_first;  // the header packet is already at the target
   } else {
+    rec.hdr_meta->low_water = lw;
     net::Packet first = wire_.make_packet();
     first.src = task_id_;
     first.dst = rec.target;
@@ -418,6 +439,7 @@ void SendEngine::transmit_packets(const SendRecord& rec,
     m->epoch = hdr.epoch;
     m->dst_epoch = hdr.dst_epoch;
     m->msg_id = hdr.msg_id;
+    m->low_water = lw;
     m->offset = offset;
     m->zero_copy = hdr.zero_copy;
     if (checksums_) {
@@ -434,6 +456,7 @@ void SendEngine::transmit_packets(const SendRecord& rec,
 
 void SendEngine::transmit_probe(const SendRecord& rec) {
   const CostModel& cm = progress_.cost();
+  rec.hdr_meta->low_water = low_water();
   net::Packet p = wire_.make_packet();
   p.src = task_id_;
   p.dst = rec.target;
@@ -497,6 +520,7 @@ void SendEngine::fail_peer(int peer, bool direct) {
   // A suspected peer escalating to dead leaves the quarantine for good (its
   // parked records are failed over with everything else below).
   p.liveness = PeerState::Liveness::kFailed;
+  p.dead_epoch = p.addressed_epoch;
   // Drop the parked queues first: failing a leased record returns credits,
   // and the credit drain must not restart parked sends toward a dead peer.
   // The balance itself is left alone: fail_send returns each lease.
@@ -658,6 +682,17 @@ void SendEngine::fail_send(std::int64_t msg_id, Status reason) {
 #endif
   sends_.erase(it);
   progress_.notify();  // fence/term waiters re-evaluate, record reclaimed
+}
+
+void SendEngine::fail_at_submit(PktKind kind, const WireMeta& hdr) {
+  // No record, packet or timer: the peer is latched dead, so the operation
+  // completes failed at once instead of burning a retry ladder.
+  // Every counter it owes at this end fires now, marked kPeerFailed.
+  progress_.bump_peer_failed(hdr.org_cntr);
+  if (kind == PktKind::kPutHdr || kind == PktKind::kAmHdr) {
+    progress_.bump_peer_failed(hdr.cmpl_cntr);
+  }
+  progress_.engine().counters().bump("lapi.failed_ops");
 }
 
 // --- keepalive (Config::keepalive_interval > 0) ----------------------------

@@ -28,6 +28,7 @@
 // SPLAP_AUDIT builds).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -204,15 +205,6 @@ class AccrualEstimator {
     const double var = sumsq_ / count_ - m * m;
     return var > 0.0 ? std::sqrt(var) : 0.0;  // round-off can dip negative
   }
-  /// Forget everything (peer incarnation change): the new life has its own
-  /// rhythm.
-  void reset() {
-    head_ = 0;
-    count_ = 0;
-    last_ = kNoTime;
-    sum_ = 0.0;
-    sumsq_ = 0.0;
-  }
 
  private:
   int window_;
@@ -235,6 +227,11 @@ struct PeerState {
   /// kSuspected: quarantined, sends parked in suspectq, heals on any
   /// contact. kFailed: latched dead until the peer is heard from again.
   Liveness liveness = Liveness::kAlive;
+  /// Newest incarnation a send has addressed, and the one the kFailed latch
+  /// was declared against: a send to that life or an older one fails at
+  /// submit, a send to a newer (restarted) life goes out.
+  std::int64_t addressed_epoch = 0;
+  std::int64_t dead_epoch = 0;
 
   /// Packet credits (the real LAPI's token scheme over the TB3 adapter's
   /// finite buffering). A message leases one credit per wire packet before
@@ -321,7 +318,8 @@ class SendEngine final : public ReliableChannel::Sender {
   /// Inject a validated message: allocates the msg id, charges the call (or
   /// queues behind the dispatcher in handler context), records the send for
   /// retransmission and arms its timer. The facade has already validated
-  /// the target and the library state.
+  /// the target and the library state. A target latched dead fails the
+  /// operation at once (fail_at_submit).
   void submit(PktKind kind, int target, std::shared_ptr<WireMeta> hdr,
               std::shared_ptr<std::vector<std::byte>> data,
               Time extra_call_cost);
@@ -344,6 +342,16 @@ class SendEngine final : public ReliableChannel::Sender {
   int outstanding_data() const { return outstanding_data_; }
   int outstanding_gets() const { return outstanding_gets_; }
   std::size_t pending_sends() const { return sends_.size(); }
+  /// The lowest msg id not yet settled: the oldest live record, or an id an
+  /// actor-context submit allocated and has not recorded yet (it suspends
+  /// in compute() in between), else the next id to allocate. Stamped into
+  /// every header and data packet as WireMeta::low_water.
+  std::int64_t low_water() const {
+    std::int64_t lw = msg_seq_;
+    if (!sends_.empty()) lw = std::min(lw, sends_.begin()->first);
+    if (!submitting_.empty()) lw = std::min(lw, submitting_.front());
+    return lw;
+  }
   Time srtt() const { return channel_.srtt(); }
   bool checksums() const { return checksums_; }
   /// The protocol-decision layer (and its registration cache). The facade
@@ -461,6 +469,15 @@ class SendEngine final : public ReliableChannel::Sender {
   /// kCancel so the target reclaims any partial assembly the abandoned
   /// message left behind.
   void fail_send(std::int64_t msg_id, Status reason);
+  /// Is `p` latched dead for the incarnation `hdr` is addressed to?
+  static bool latched_dead(const PeerState& p, const WireMeta& hdr) {
+    return p.liveness == PeerState::Liveness::kFailed &&
+           hdr.dst_epoch <= p.dead_epoch;
+  }
+  /// A submit toward a peer latched dead: complete the operation's origin
+  /// counters as failed (kPeerFailed) at the submit's virtual time, with no
+  /// record, packet or timer.
+  void fail_at_submit(PktKind kind, const WireMeta& hdr);
   /// Keepalive: (re-)arm the probe tick while records are pending.
   void arm_keepalive();
   void keepalive_tick();
@@ -519,6 +536,9 @@ class SendEngine final : public ReliableChannel::Sender {
 
   std::int64_t msg_seq_ = 0;
   std::map<std::int64_t, SendRecord> sends_;
+  /// Ids allocated by actor-context submits that are suspended before
+  /// recording them in sends_, ascending (ids are allocated in order).
+  std::vector<std::int64_t> submitting_;
   int outstanding_data_ = 0;
   int outstanding_gets_ = 0;
   /// Per-peer packet-credit window (Config::credit_window; 0 = no flow

@@ -34,6 +34,13 @@ class Counter {
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
+  /// Introspection for transport-layer tests, which run without a Context:
+  /// the value and the completions a declared-dead peer failed. Programs
+  /// read counters through Context::getcntr / waitcntr, which charge the
+  /// call.
+  std::int64_t peek() const { return value_; }
+  std::int64_t peek_peer_failed() const { return peer_failed_; }
+
  private:
   friend class Context;
   friend class ProgressEngine;  // counter bumps run on the dispatcher

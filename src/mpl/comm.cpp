@@ -112,11 +112,19 @@ Request Comm::start_send(int dst, int tag, std::span<const std::byte> data) {
   const bool eager = len <= config_.eager_limit;
 
   const Request id = next_req_++;
+  const std::int64_t dst_epoch = node_.machine().incarnation(dst);
+  if (auto f = failed_peers_.find(dst);
+      f != failed_peers_.end() && dst_epoch <= f->second) {
+    // Declared dead: the request completes at once (comm_status() already
+    // reports kPeerFailed), with no seq, record, packet or timer — nothing
+    // the peer's admission cursor would wait for.
+    return id;
+  }
   SendReq req;
   req.dst = dst;
   req.tag = tag;
   req.seq = next_send_seq_[static_cast<std::size_t>(dst)]++;
-  req.dst_epoch = node_.machine().incarnation(dst);
+  req.dst_epoch = dst_epoch;
   req.state = eager ? SState::kEagerDone : SState::kWaitCts;
   // Eager: the buffering copy that lets the send return immediately — the
   // "extra copy in MPI" of Section 4, charged at memory-copy bandwidth.
@@ -259,7 +267,7 @@ void Comm::give_up(std::int64_t id) {
   auto it = sends_.find(id);
   if (it != sends_.end() &&
       !node_.machine().fabric().node_up(it->second.dst, engine().now())) {
-    fail_peer(it->second.dst);
+    fail_peer(it->second.dst, it->second.dst_epoch);
     return;
   }
   // The stronger verdict wins (comm.hpp): a retry-budget exhaustion against
@@ -270,12 +278,14 @@ void Comm::give_up(std::int64_t id) {
   notify();
 }
 
-void Comm::fail_peer(int peer) {
-  if (failed_peers_.insert(peer).second) {
+void Comm::fail_peer(int peer, std::int64_t dead_epoch) {
+  auto [f, fresh] = failed_peers_.try_emplace(peer, dead_epoch);
+  if (fresh) {
     engine().counters().bump("mpl.peer_failed");
     SPLAP_WARN(engine().now(), "mpl rank %d: peer %d declared failed (node down)",
                rank(), peer);
   }
+  f->second = std::max(f->second, dead_epoch);
   // Reclaim every in-flight send toward the peer (the retransmit timers die
   // as stale once the records are gone), so term's quiesce loop and blocked
   // senders exit instead of burning the full retry budget per message.
@@ -423,7 +433,7 @@ Status Comm::recv(int src, int tag, std::span<std::byte> buf, RecvStatus* st) {
     return Status::kBadParameter;
   }
   const Request r = irecv(src, tag, buf, st);
-  wait(r);
+  block_on(r);
   auto it = postings_.find(r);
   const bool truncated = it != postings_.end() && it->second.truncated;
   const bool failed =
@@ -434,6 +444,15 @@ Status Comm::recv(int src, int tag, std::span<std::byte> buf, RecvStatus* st) {
 }
 
 void Comm::wait(Request r) {
+  block_on(r);
+  // A completed receive is over: retire its posting. A failed one stays
+  // registered (its matched message may still name it).
+  if (auto it = postings_.find(r); it != postings_.end() && it->second.done) {
+    postings_.erase(it);
+  }
+}
+
+void Comm::block_on(Request r) {
   sim::Actor* a = sim::Actor::current();
   SPLAP_REQUIRE(a != nullptr, "wait must run in a task context");
   a->wait(
@@ -527,8 +546,9 @@ void Comm::pump_handlers() {
                      std::span<const std::byte>(msg.stage.data(),
                                                 msg.stage.size())};
   reg.handler(*this, d);
-  msg.stage.clear();
-  msg.stage.shrink_to_fit();
+  // Delivered: a duplicate below the admission cursor is re-acked without
+  // an entry.
+  in_.erase(key);
   schedule_handler_pump();
 }
 
@@ -627,8 +647,16 @@ Time Comm::process(net::Packet& pkt) {
   switch (m.kind) {
     case MplKind::kEager:
     case MplKind::kRts: {
-      InMsg& msg = in_[key];
       Time c = cm.mpi_pkt_rx;
+      auto it = in_.find(key);
+      if (it == in_.end()) {
+        if (forgotten(src, m.seq)) {
+          send_ctl(src, MplKind::kAck, m.seq, engine().now() + c);
+          return c;
+        }
+        it = in_.emplace(key, InMsg{}).first;
+      }
+      InMsg& msg = it->second;
       if (msg.shed) return c;  // tombstone: no buffering, no ack
       if (msg.assembled) {
         send_ctl(src, MplKind::kAck, m.seq, engine().now() + c);
@@ -661,8 +689,16 @@ Time Comm::process(net::Packet& pkt) {
     }
 
     case MplKind::kData: {
-      InMsg& msg = in_[key];
       Time c = cm.mpi_pkt_rx;
+      auto it = in_.find(key);
+      if (it == in_.end()) {
+        if (forgotten(src, m.seq)) {
+          send_ctl(src, MplKind::kAck, m.seq, engine().now() + c);
+          return c;
+        }
+        it = in_.emplace(key, InMsg{}).first;
+      }
+      InMsg& msg = it->second;
       if (msg.shed) return c;  // tombstone: no buffering, no ack
       if (msg.assembled) {
         send_ctl(src, MplKind::kAck, m.seq, engine().now() + c);
@@ -879,8 +915,7 @@ void Comm::complete_message(int src, std::int64_t seq) {
   SPLAP_REQUIRE(pit != postings_.end() && !pit->second.done,
                 "matched message has no posting");
   pit->second.done = true;
-  msg.stage.clear();
-  msg.stage.shrink_to_fit();
+  in_.erase(key);  // delivered: see forgotten()
   notify();
 }
 

@@ -30,7 +30,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -92,7 +91,8 @@ class Comm : private lapi::ReliableChannel::Sender {
   Request isend(int dst, int tag, std::span<const std::byte> data);
   Request irecv(int src, int tag, std::span<std::byte> buf,
                 RecvStatus* st = nullptr);
-  /// Block until the request completes. Requests are single-use.
+  /// Block until the request completes, then retire a completed receive's
+  /// posting. Requests are single-use.
   void wait(Request r);
   /// Nonblocking completion probe.
   bool test(Request r);
@@ -129,6 +129,13 @@ class Comm : private lapi::ReliableChannel::Sender {
   Status comm_status() const { return comm_status_; }
   /// Has this communicator declared `peer`'s node dead?
   bool peer_failed(int peer) const { return failed_peers_.count(peer) != 0; }
+
+  // --- introspection (bounded-state tests) ---------------------------------
+  /// Receive-side messages held: admitted but not yet delivered, data that
+  /// beat its envelope, and shed tombstones. A delivered message is gone.
+  std::size_t held_messages() const { return in_.size(); }
+  /// Postings held: live ones, and failed ones no recv() has collected.
+  std::size_t held_postings() const { return postings_.size(); }
 
  private:
   // --- origin-side state ---------------------------------------------------
@@ -216,13 +223,23 @@ class Comm : private lapi::ReliableChannel::Sender {
   void give_up(std::int64_t id) override;
 
   /// The peer's node is down: fail every in-flight send toward it, fail the
-  /// postings that name it, and latch comm_status_ to kPeerFailed.
-  void fail_peer(int peer);
+  /// postings that name it, and latch comm_status_ to kPeerFailed. The latch
+  /// covers incarnation `dead_epoch` and older ones: start_send fails a send
+  /// addressed to them at once, and lets a send to a restarted life out.
+  void fail_peer(int peer, std::int64_t dead_epoch);
   /// The peer restarted as incarnation `new_epoch`: wipe its previous
   /// life's receive-side state (its sequence space restarts at zero) and
   /// fail the sends addressed to dead incarnations; sends already stamped
   /// with the new epoch stay live.
   void on_peer_reborn(int peer, std::int64_t new_epoch);
+
+  /// wait() without retiring the posting (recv() reads its flags first).
+  void block_on(Request r);
+  /// For a (src, seq) with no in_ entry: was it admitted, hence assembled,
+  /// delivered and forgotten? A duplicate of it is only re-acked.
+  bool forgotten(int src, std::int64_t seq) const {
+    return seq < next_admit_[static_cast<std::size_t>(src)];
+  }
 
   // Receive path.
   void on_delivery(net::Packet&& pkt);
@@ -291,7 +308,9 @@ class Comm : private lapi::ReliableChannel::Sender {
   /// Incarnation epochs (crash-stop recovery; all zero in healthy runs).
   std::int64_t epoch_ = 0;
   std::vector<std::int64_t> peer_epochs_;
-  std::set<int> failed_peers_;
+  /// Peers declared dead, each with the newest incarnation the verdict
+  /// covers.
+  std::map<int, std::int64_t> failed_peers_;
 
   sim::WaitSet waiters_;
   std::shared_ptr<char> alive_ = std::make_shared<char>();

@@ -105,21 +105,31 @@ TEST(AccrualEstimatorTest, WindowEvictsOldGaps) {
 }
 
 TEST(AccrualEstimatorTest, ResetForgetsTheOldLife) {
-  AccrualEstimator est;
+  // A dead or restarted peer's next life is judged from scratch: fail_peer
+  // and on_peer_reborn drop the estimator and the keepalive window through
+  // PeerState::forget_rhythm.
+  lapi::PeerState p(/*window=*/0);
+  p.accrual.emplace(lapi::kAccrualWindow);
   Time t = 0;
   for (int i = 0; i < 5; ++i) {
-    est.observe(t);
+    p.accrual->observe(t);
     t += microseconds(10);
   }
-  ASSERT_TRUE(est.warmed_up());
-  est.reset();
-  EXPECT_FALSE(est.warmed_up());
-  EXPECT_EQ(est.samples(), 0);
-  EXPECT_EQ(est.suspicion(t + microseconds(1000)), 0.0);
-  // The new life warms up from scratch.
-  est.observe(t);
-  est.observe(t + microseconds(10));
-  EXPECT_FALSE(est.warmed_up());
+  ASSERT_TRUE(p.accrual->warmed_up());
+  p.probed = true;
+  p.heard = true;
+  p.misses = 2;
+  p.forget_rhythm();
+  EXPECT_FALSE(p.accrual.has_value());
+  EXPECT_FALSE(p.probed);
+  EXPECT_FALSE(p.heard);
+  EXPECT_EQ(p.misses, 0);
+  // The new life warms up from scratch, as note_heard rebuilds it.
+  p.accrual.emplace(lapi::kAccrualWindow);
+  EXPECT_EQ(p.accrual->suspicion(t + microseconds(1000)), 0.0);
+  p.accrual->observe(t);
+  p.accrual->observe(t + microseconds(10));
+  EXPECT_FALSE(p.accrual->warmed_up());
 }
 
 TEST(AccrualEstimatorTest, ClockGoingBackwardsIsIgnored) {

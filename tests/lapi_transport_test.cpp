@@ -235,11 +235,23 @@ class FakeWire final : public net::Delivery {
   int rx_overflows = 0;
   int rx_high_water = 0;
 
+  /// Every packet handed to the wire, by kind (before any fault applies).
+  std::map<PktKind, int> sent;
+  /// While set, a copy of every transmitted packet is kept in `recorded`,
+  /// for replay() to deliver again later as a stale duplicate.
+  bool record = false;
+  std::vector<net::Packet> recorded;
+
   net::Packet make_packet() override { return net::Packet{}; }
   Time link_free(int /*src*/) const override { return eng_.now(); }
 
+  /// Deliver a copy of `pkt` again, as the fabric delivers a late duplicate.
+  void replay(const net::Packet& pkt) { deliver(clone(pkt), latency); }
+
   void transmit(net::Packet&& pkt) override {
     const WireMeta& m = pkt.meta_as<WireMeta>();
+    ++sent[m.kind];
+    if (record) recorded.push_back(clone(pkt));
     const bool is_data = m.kind == PktKind::kData;
     if (is_data && drop_first_n_data > 0) {
       --drop_first_n_data;
@@ -314,8 +326,10 @@ class FakeWire final : public net::Delivery {
 };
 
 /// One task's transport stack without the Context facade: the Sink demux and
-/// a null Env (these scenarios exercise Put only, which needs no handler
-/// table, completion threads, or Get-reply send path).
+/// a minimal Env. AM header handlers are whatever the test installs;
+/// completion jobs queue until the test runs them on an actor of its own
+/// (there is no Context to hand their bodies, so only the run is counted);
+/// Get replies go out through the send engine as the facade sends them.
 class Endpoint final : public ProgressEngine::Sink, public AssemblyEngine::Env {
  public:
   Endpoint(sim::Engine& eng, const CostModel& cm, FakeWire& wire, int id,
@@ -330,6 +344,11 @@ class Endpoint final : public ProgressEngine::Sink, public AssemblyEngine::Env {
   SendEngine& send() { return send_; }
   AssemblyEngine& assembly() { return assembly_; }
 
+  std::function<AmReply(const AmDelivery&)> am_handler;
+  int handler_runs = 0;
+  int completions_run = 0;
+  std::vector<std::function<void(sim::Actor&)>> queued_completions;
+
  private:
   Time process_packet(net::Packet& pkt) override {
     const WireMeta& m = pkt.meta_as<WireMeta>();
@@ -340,19 +359,27 @@ class Endpoint final : public ProgressEngine::Sink, public AssemblyEngine::Env {
     if (m.kind == PktKind::kCredit) return send_.on_credit(pkt);
     return assembly_.process(pkt);
   }
-  AmReply run_handler(AmHandlerId /*id*/, const AmDelivery& /*d*/) override {
-    ADD_FAILURE() << "unexpected AM handler dispatch";
-    return {};
+  AmReply run_handler(AmHandlerId /*id*/, const AmDelivery& d) override {
+    if (!am_handler) {
+      ADD_FAILURE() << "unexpected AM handler dispatch";
+      return {};
+    }
+    ++handler_runs;
+    return am_handler(d);
   }
   void run_completion(const std::function<void(Context&, sim::Actor&)>&,
-                      sim::Actor&) override {}
-  void submit_completion(std::function<void(sim::Actor&)>) override {}
-  Status send_get_reply(int, std::shared_ptr<WireMeta>,
-                        std::shared_ptr<std::vector<std::byte>>) override {
-    ADD_FAILURE() << "unexpected Get reply";
+                      sim::Actor&) override {
+    ++completions_run;
+  }
+  void submit_completion(std::function<void(sim::Actor&)> fn) override {
+    queued_completions.push_back(std::move(fn));
+  }
+  Status send_get_reply(int origin, std::shared_ptr<WireMeta> hdr,
+                        std::shared_ptr<std::vector<std::byte>> data) override {
+    send_.submit(PktKind::kPutHdr, origin, std::move(hdr), std::move(data), 0);
     return Status::kOk;
   }
-  void note_get_reply() override {}
+  void note_get_reply() override { send_.note_get_reply(); }
 
   ProgressEngine progress_;
   SendEngine send_;
@@ -563,9 +590,19 @@ TEST(TransportStackTest, RetryExhaustionCascadesAcrossThePeerQueue) {
   // Leased credits were reclaimed with the records: the pool is whole, so a
   // send after the wire heals needs no fresh grant from the (silent) peer.
   EXPECT_EQ(f.origin->send().credits_available(1), 2);
-  // The verdict is a latch, not a wall: once the wire heals, a later send is
-  // still attempted, and the peer's first ack clears the latch.
+  // The verdict is a latch, not a wall: once the wire heals, contact from
+  // the peer clears the latch, and the next send is delivered.
   f.wire.drop_first_n_data = 0;
+  auto hello = StackFixture::pattern(64);
+  std::vector<std::byte> hello_dst(64);
+  f.eng.schedule_at(f.eng.now(), [&f, hello, &hello_dst] {
+    auto hdr = std::make_shared<WireMeta>();
+    hdr->tgt_addr = hello_dst.data();
+    hdr->total_len = static_cast<std::int64_t>(hello->size());
+    f.target->send().submit(PktKind::kPutHdr, 0, hdr, hello, 0);
+  });
+  ASSERT_EQ(f.eng.run(), Status::kOk);
+  EXPECT_FALSE(f.origin->send().peer_failed(1));
   auto src4 = StackFixture::pattern(kLen);
   std::vector<std::byte> dst4(static_cast<std::size_t>(kLen));
   f.eng.schedule_at(f.eng.now(), [&f, src4, &dst4] {
@@ -576,7 +613,59 @@ TEST(TransportStackTest, RetryExhaustionCascadesAcrossThePeerQueue) {
   });
   ASSERT_EQ(f.eng.run(), Status::kOk);
   f.expect_delivered(*src4, dst4);
-  EXPECT_FALSE(f.origin->send().peer_failed(1));
+}
+
+TEST(TransportStackTest, SendToALatchedPeerFailsAtSubmit) {
+  // A peer latched dead is not retried one ladder per send: a later submit
+  // toward it completes its counters as failed at the submit's own virtual
+  // time, with no packet, no timer and no retransmission.
+  StackFixture f;
+  f.cfg.max_retries = 2;
+  f.build();
+  f.wire.drop_first_n_data = 1 << 20;  // the wire eats all data forever
+  auto src = StackFixture::pattern(kLen);
+  std::vector<std::byte> dst(static_cast<std::size_t>(kLen));
+  f.put(src, dst.data());
+  ASSERT_EQ(f.eng.run(), Status::kOk);
+  ASSERT_TRUE(f.origin->send().peer_failed(1));
+  const std::int64_t retransmits = f.eng.counters().get("lapi.retransmits");
+  const std::int64_t failed = f.eng.counters().get("lapi.failed_ops");
+  const std::int64_t mark = f.origin->send().low_water();
+  Counter org, cmpl, get_org;
+  Time submitted = kNoTime;
+  std::vector<std::byte> local(64);
+  f.eng.schedule_at(f.eng.now() + microseconds(7), [&] {
+    submitted = f.eng.now();
+    auto hdr = std::make_shared<WireMeta>();
+    hdr->tgt_addr = dst.data();
+    hdr->total_len = kLen;
+    hdr->org_cntr = &org;
+    hdr->cmpl_cntr = &cmpl;
+    f.origin->send().submit(PktKind::kPutHdr, 1, hdr, src, 0);
+    auto get = std::make_shared<WireMeta>();
+    get->src_addr = dst.data();
+    get->dst_addr = local.data();
+    get->total_len = 64;
+    get->org_cntr = &get_org;
+    f.origin->send().submit(PktKind::kGetReq, 1, get, nullptr, 0);
+    // Completed, failed by the peer's death, in the same instant.
+    for (const Counter* c : {&org, &cmpl, &get_org}) {
+      EXPECT_EQ(c->peek(), 1);
+      EXPECT_EQ(c->peek_peer_failed(), 1);
+    }
+  });
+  const Time end_before = f.eng.now();
+  ASSERT_EQ(f.eng.run(), Status::kOk);
+  EXPECT_EQ(f.eng.now(), end_before + microseconds(7));  // no timer armed
+  EXPECT_EQ(submitted, end_before + microseconds(7));
+  EXPECT_EQ(f.eng.counters().get("lapi.retransmits"), retransmits);
+  EXPECT_EQ(f.eng.counters().get("lapi.failed_ops"), failed + 2);
+  EXPECT_EQ(f.origin->send().pending_sends(), 0u);
+  EXPECT_EQ(f.origin->send().outstanding_data(), 0);
+  EXPECT_EQ(f.origin->send().outstanding_gets(), 0);
+  // Nothing of the failed sends holds the low-water mark back.
+  EXPECT_GE(f.origin->send().low_water(), mark);
+  EXPECT_TRUE(f.origin->send().peer_failed(1));
 }
 
 // ===========================================================================
@@ -792,6 +881,16 @@ TEST(TransportFlowControlTest, TtlSweepReclaimsWhenTheCancelIsLost) {
   std::vector<std::byte> dst1(static_cast<std::size_t>(kLen));
   std::vector<std::byte> dst2(static_cast<std::size_t>(kLen));
   f.put(src1, dst1.data());  // its data never lands
+  // The give-up latched the target dead at the origin; contact from it
+  // clears the latch so the second message below goes out.
+  auto hello = StackFixture::pattern(64);
+  std::vector<std::byte> hello_dst(64);
+  f.eng.schedule_at(milliseconds(19.0), [&f, hello, &hello_dst] {
+    auto hdr = std::make_shared<WireMeta>();
+    hdr->tgt_addr = hello_dst.data();
+    hdr->total_len = static_cast<std::int64_t>(hello->size());
+    f.target->send().submit(PktKind::kPutHdr, 0, hdr, hello, 0);
+  });
   // A second message long after the first gave up: admitting its partial
   // runs the TTL sweep, which reaps the stale orphan.
   f.eng.schedule_at(milliseconds(20.0), [&f, src2, &dst2] {
@@ -827,6 +926,208 @@ TEST(TransportFlowControlTest, MaxPartialsCapShedsAndRecovers) {
   EXPECT_GT(f.eng.counters().get("lapi.partials_shed"), 0);
   EXPECT_EQ(f.eng.counters().get("lapi.failed_ops"), 0);
   EXPECT_EQ(f.target->assembly().live_partials(), 0u);
+}
+
+// ===========================================================================
+// Low-water mark: the target forgets settled messages (WireMeta::low_water)
+// ===========================================================================
+
+std::shared_ptr<WireMeta> put_meta(std::byte* tgt, std::int64_t len) {
+  auto hdr = std::make_shared<WireMeta>();
+  hdr->tgt_addr = tgt;
+  hdr->total_len = len;
+  return hdr;
+}
+
+/// The first recorded packet from task 0 of `kind` (and msg id `id`).
+const net::Packet& first_sent(const FakeWire& wire, PktKind kind,
+                              std::int64_t id) {
+  for (const net::Packet& p : wire.recorded) {
+    const WireMeta& m = p.meta_as<WireMeta>();
+    if (p.src == 0 && m.kind == kind && m.msg_id == id) return p;
+  }
+  ADD_FAILURE() << "no recorded packet of kind " << static_cast<int>(kind);
+  return wire.recorded.front();
+}
+
+TEST(TransportMarkTest, StaleCopiesBelowTheMarkDrawOneReplyEach) {
+  // A put, an AM, a get and an RMW settle; a later put carries the origin's
+  // mark past all four, and the target forgets them. Stale copies of their
+  // packets then arrive: each draws exactly the reply its completed marker
+  // would have drawn (one ack, or one RMW response) and changes nothing.
+  StackFixture f;
+  f.build();
+  std::vector<std::byte> put_dst(static_cast<std::size_t>(kLen));
+  std::vector<std::byte> am_dst(64);
+  std::vector<std::byte> remote(64, std::byte{0x5A});
+  std::vector<std::byte> local(64);
+  std::int64_t var = 10;
+  Counter put_tc;
+  f.target->am_handler = [&am_dst](const AmDelivery&) {
+    AmReply r;
+    r.buffer = am_dst.data();
+    return r;
+  };
+  auto src = StackFixture::pattern(kLen);
+  auto am_src = StackFixture::pattern(64);
+  f.wire.record = true;
+  f.eng.schedule_at(0, [&] {
+    auto put = put_meta(put_dst.data(), kLen);
+    put->tgt_cntr = &put_tc;
+    f.origin->send().submit(PktKind::kPutHdr, 1, put, src, 0);  // id 0
+    auto am = std::make_shared<WireMeta>();
+    am->total_len = 64;
+    f.origin->send().submit(PktKind::kAmHdr, 1, am, am_src, 0);  // id 1
+    auto get = std::make_shared<WireMeta>();
+    get->src_addr = remote.data();
+    get->dst_addr = local.data();
+    get->total_len = 64;
+    f.origin->send().submit(PktKind::kGetReq, 1, get, nullptr, 0);  // id 2
+    auto rmw = std::make_shared<WireMeta>();
+    rmw->rmw_op = RmwOp::kFetchAndAdd;
+    rmw->rmw_var = &var;
+    rmw->rmw_in1 = 5;
+    f.origin->send().submit(PktKind::kRmwReq, 1, rmw, nullptr, 0);  // id 3
+  });
+  ASSERT_EQ(f.eng.run(), Status::kOk);
+  f.wire.record = false;
+  ASSERT_EQ(f.origin->send().pending_sends(), 0u);
+  ASSERT_EQ(var, 15);
+  ASSERT_EQ(local, remote);
+  ASSERT_EQ(put_tc.peek(), 1);
+  ASSERT_EQ(f.target->handler_runs, 1);
+  const std::vector<const net::Packet*> stale = {
+      &first_sent(f.wire, PktKind::kPutHdr, 0),
+      &first_sent(f.wire, PktKind::kData, 0),
+      &first_sent(f.wire, PktKind::kAmHdr, 1),
+      &first_sent(f.wire, PktKind::kGetReq, 2),
+      &first_sent(f.wire, PktKind::kRmwReq, 3)};
+
+  // One more put: its packets carry the mark 4.
+  std::vector<std::byte> later_dst(64);
+  f.eng.schedule_at(f.eng.now(), [&] {
+    f.origin->send().submit(PktKind::kPutHdr, 1,
+                            put_meta(later_dst.data(), 64),
+                            StackFixture::pattern(64), 0);
+  });
+  ASSERT_EQ(f.eng.run(), Status::kOk);
+  const AssemblyEngine::DedupState held = f.target->assembly().dedup_state();
+  EXPECT_EQ(held.markers, 1u);  // the later put's own
+  EXPECT_EQ(held.rmw_cached, 0u);
+  EXPECT_EQ(held.nacked, 0u);
+
+  // Scribble over what was delivered: a re-delivery would show.
+  std::fill(put_dst.begin(), put_dst.end(), std::byte{0});
+  std::fill(am_dst.begin(), am_dst.end(), std::byte{0});
+  const std::map<PktKind, int> before = f.wire.sent;
+  for (const net::Packet* p : stale) f.wire.replay(*p);
+  ASSERT_EQ(f.eng.run(), Status::kOk);
+  std::map<PktKind, int> drawn = f.wire.sent;
+  for (const auto& [kind, n] : before) drawn[kind] -= n;
+  std::erase_if(drawn, [](const auto& kv) { return kv.second == 0; });
+  EXPECT_EQ(drawn, (std::map<PktKind, int>{{PktKind::kAck, 4},
+                                           {PktKind::kRmwResp, 1}}));
+  EXPECT_TRUE(std::all_of(put_dst.begin(), put_dst.end(),
+                          [](std::byte b) { return b == std::byte{0}; }));
+  EXPECT_TRUE(std::all_of(am_dst.begin(), am_dst.end(),
+                          [](std::byte b) { return b == std::byte{0}; }));
+  EXPECT_EQ(put_tc.peek(), 1);
+  EXPECT_EQ(f.target->handler_runs, 1);
+  EXPECT_EQ(var, 15);  // the RMW did not run again
+  EXPECT_EQ(f.target->assembly().dedup_state().markers, 1u);
+  EXPECT_EQ(f.target->assembly().live_partials(), 0u);
+}
+
+TEST(TransportMarkTest, QueuedCompletionKeepsItsMarkerUntilItRuns) {
+  // An AM without a completion counter settles at its DATA ack, before its
+  // completion handler has run. The mark passes it, but the marker stays
+  // until the queued completion has run against it; then it goes.
+  StackFixture f;
+  f.build();
+  std::vector<std::byte> am_dst(64);
+  f.target->am_handler = [&am_dst](const AmDelivery&) {
+    AmReply r;
+    r.buffer = am_dst.data();
+    r.completion = [](Context&, sim::Actor&) {};
+    return r;
+  };
+  f.wire.record = true;
+  f.eng.schedule_at(0, [&] {
+    auto am = std::make_shared<WireMeta>();
+    am->total_len = 64;
+    f.origin->send().submit(PktKind::kAmHdr, 1, am, StackFixture::pattern(64),
+                            0);
+  });
+  ASSERT_EQ(f.eng.run(), Status::kOk);
+  f.wire.record = false;
+  ASSERT_EQ(f.origin->send().pending_sends(), 0u);  // settled at the DATA ack
+  ASSERT_EQ(f.target->queued_completions.size(), 1u);
+  const net::Packet stale = [&] {
+    const net::Packet& p = first_sent(f.wire, PktKind::kAmHdr, 0);
+    net::Packet c;
+    c.src = p.src;
+    c.dst = p.dst;
+    c.client = p.client;
+    c.header_bytes = p.header_bytes;
+    c.meta = p.meta;
+    c.data.assign(p.data.data(), p.data.data() + p.data.size());
+    return c;
+  }();
+  std::vector<std::byte> later_dst(64);
+  f.eng.schedule_at(f.eng.now(), [&] {
+    f.origin->send().submit(PktKind::kPutHdr, 1,
+                            put_meta(later_dst.data(), 64),
+                            StackFixture::pattern(64), 0);
+  });
+  ASSERT_EQ(f.eng.run(), Status::kOk);
+  EXPECT_EQ(f.target->assembly().dedup_state().markers, 2u);
+
+  // A stale copy meets the kept marker: re-acked, the handler not re-run.
+  const int acks = f.wire.sent[PktKind::kAck];
+  f.wire.replay(stale);
+  ASSERT_EQ(f.eng.run(), Status::kOk);
+  EXPECT_EQ(f.wire.sent[PktKind::kAck], acks + 1);
+  EXPECT_EQ(f.target->handler_runs, 1);
+
+  // The completion runs; its marker is below the mark, so it goes.
+  f.eng.spawn("svc", [&f](sim::Actor& a) {
+    for (auto& fn : std::exchange(f.target->queued_completions, {})) fn(a);
+  });
+  ASSERT_EQ(f.eng.run(), Status::kOk);
+  EXPECT_EQ(f.target->completions_run, 1);
+  EXPECT_EQ(f.target->assembly().dedup_state().markers, 1u);
+  f.wire.replay(stale);
+  ASSERT_EQ(f.eng.run(), Status::kOk);
+  EXPECT_EQ(f.wire.sent[PktKind::kAck], acks + 2);
+  EXPECT_EQ(f.target->handler_runs, 1);
+  EXPECT_EQ(f.target->completions_run, 1);
+}
+
+TEST(TransportMarkTest, SuspendedSubmitHoldsTheMark) {
+  // An actor's submit allocates its msg id, then suspends in compute() to
+  // charge the call. Meanwhile a handler-context send on the same endpoint
+  // takes the next id and reaches the wire first. The mark it carries must
+  // not pass the suspended id, or the target would take the actor's
+  // message for a settled duplicate: acked, never delivered.
+  StackFixture f;
+  f.build();
+  auto first = StackFixture::pattern(64);
+  auto second = StackFixture::pattern(128);
+  std::vector<std::byte> dst1(64);
+  std::vector<std::byte> dst2(128);
+  f.eng.spawn("task0", [&](sim::Actor&) {
+    f.origin->send().submit(PktKind::kPutHdr, 1, put_meta(dst1.data(), 64),
+                            first, /*extra_call_cost=*/microseconds(50));
+  });
+  f.eng.schedule_at(microseconds(5), [&] {
+    ASSERT_EQ(sim::Actor::current(), nullptr);
+    f.origin->send().submit(PktKind::kPutHdr, 1, put_meta(dst2.data(), 128),
+                            second, 0);
+  });
+  ASSERT_EQ(f.eng.run(), Status::kOk);
+  EXPECT_EQ(dst1, *first);
+  EXPECT_EQ(dst2, *second);
+  EXPECT_EQ(f.origin->send().pending_sends(), 0u);
 }
 
 // ===========================================================================

@@ -2,7 +2,9 @@
 // matching (tags, wildcards), truncation, and multi-task traffic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -237,11 +239,12 @@ TEST(MplBasicTest, InOrderDeliveryPerSource) {
 }
 
 TEST(MplBasicTest, LongMixedMatchingKeepsPerSourceOrder) {
-  // Three senders stream into one receiver, whose irecv/wait postings are
-  // never erased (only recv() erases its posting), so thousands of retired
-  // postings pile up. Every batch pairs an any-source posting with a
-  // specific-source one. Checked in post order, each posting receives its
-  // source's next message, and a specific-source posting only its source's.
+  // Three senders stream 3000 messages into one receiver through irecv/wait.
+  // Every batch pairs an any-source posting with a specific-source one.
+  // Checked in post order, each posting receives its source's next message,
+  // and a specific-source posting only its source's. Nothing piles up: a
+  // delivered message leaves the receive side and wait() retires the
+  // posting it completed.
   auto cfg = machine_config(4);
   cfg.fabric.contention_jitter = microseconds(20);
   cfg.fabric.seed = 11;
@@ -249,7 +252,9 @@ TEST(MplBasicTest, LongMixedMatchingKeepsPerSourceOrder) {
   constexpr int kPerSender = 1000;
   constexpr int kTag = 9;
   int received = 0;
-  ASSERT_EQ(run_mpl(m, [&](Comm& comm) {
+  std::size_t held_messages = 1;
+  std::size_t held_postings = 1;
+  const auto body = [&](Comm& comm) {
     if (comm.rank() != 0) {
       for (std::int32_t i = 0; i < kPerSender; ++i) {
         const std::int32_t msg[2] = {comm.rank(), i};
@@ -299,8 +304,83 @@ TEST(MplBasicTest, LongMixedMatchingKeepsPerSourceOrder) {
         ++received;
       }
     }
+  };
+  ASSERT_EQ(m.run_spmd([&](net::Node& n) {
+    Comm comm(n);
+    body(comm);
+    comm.barrier();
+    if (comm.rank() == 0) {
+      held_messages = comm.held_messages();
+      held_postings = comm.held_postings();
+    }
   }), Status::kOk);
   EXPECT_EQ(received, 3 * kPerSender);
+  EXPECT_EQ(held_messages, 0u);
+  EXPECT_EQ(held_postings, 0u);
+}
+
+TEST(MplBasicTest, DuplicatesOfADeliveredMessageAreOnlyReacked) {
+  // A delivered message leaves the receive side. Late duplicates of its
+  // eager envelope and of one of its data packets must be recognised by the
+  // source's admission cursor: each is acked, none is delivered again, and
+  // none leaves an entry behind.
+  net::Machine m(machine_config(2));
+  constexpr std::int64_t kLen = 3000;  // eager: an envelope and data packets
+  std::vector<std::byte> first(static_cast<std::size_t>(kLen));
+  std::vector<std::byte> second(static_cast<std::size_t>(kLen));
+  for (std::int64_t i = 0; i < kLen; ++i) {
+    first[static_cast<std::size_t>(i)] = static_cast<std::byte>(i % 131);
+    second[static_cast<std::size_t>(i)] = static_cast<std::byte>(i * 7 % 251);
+  }
+  std::vector<std::byte> got1(first.size());
+  std::vector<std::byte> got2(second.size());
+  std::int64_t sent_before = -1;
+  std::int64_t sent_after = -1;
+  bool dup_completed = true;
+  std::size_t held_after_dups = 99;
+  ASSERT_EQ(run_mpl(m, [&](Comm& comm) {
+    if (comm.rank() == 0) {
+      ASSERT_EQ(comm.send(1, 5, first), Status::kOk);
+      comm.node().task().compute(microseconds(300));  // delivered and acked
+      const std::int64_t payload = comm.cost().mpi_payload();
+      ASSERT_LT(payload, kLen);
+      const auto forge = [&](MplKind kind, std::int64_t offset) {
+        net::Packet p = m.fabric().make_packet();
+        p.src = 0;
+        p.dst = 1;
+        p.client = net::Client::kMpl;
+        p.header_bytes = comm.cost().mpi_header_bytes;
+        auto meta = std::make_shared<MplMeta>();
+        meta->kind = kind;
+        meta->seq = 0;
+        meta->tag = 5;
+        meta->total_len = kLen;
+        meta->offset = offset;
+        p.meta = std::move(meta);
+        const std::int64_t len = std::min(payload, kLen - offset);
+        p.data.assign(first.begin() + offset, first.begin() + offset + len);
+        m.fabric().transmit(std::move(p));
+      };
+      sent_before = m.fabric().packets_sent();
+      forge(MplKind::kEager, 0);
+      forge(MplKind::kData, payload);
+      comm.node().task().compute(microseconds(300));
+      sent_after = m.fabric().packets_sent();
+      ASSERT_EQ(comm.send(1, 5, second), Status::kOk);
+    } else {
+      ASSERT_EQ(comm.recv(0, 5, got1), Status::kOk);
+      const Request r = comm.irecv(0, 5, got2);
+      comm.node().task().compute(microseconds(450));  // the duplicates land
+      dup_completed = comm.test(r);
+      held_after_dups = comm.held_messages();
+      comm.wait(r);
+    }
+  }), Status::kOk);
+  EXPECT_EQ(got1, first);
+  EXPECT_EQ(got2, second);
+  EXPECT_FALSE(dup_completed);
+  EXPECT_EQ(held_after_dups, 0u);
+  EXPECT_EQ(sent_after - sent_before, 4);  // two duplicates, one ack each
 }
 
 TEST(MplBasicTest, TestProbesCompletionNonBlocking) {

@@ -216,8 +216,8 @@ TEST_P(RecoveryTest, KeepaliveVsRtoRace) {
 // Scenario 4: crash under credit backpressure. One oversize put holds the
 // whole 2-credit window while the caller blocks in the user-level credit
 // gate for the next one. The peer verdict must return every leased credit
-// (unparking the blocked sender), and each subsequent put toward the dead
-// peer fails with its own bounded ladder — the latch stays singular.
+// (unparking the blocked sender), and every later put toward the dead peer
+// fails at its submit — the latch stays singular.
 // (Handler-context sends parked on credit_waitq_ are failed over in bulk;
 // that path is covered by the transport-level cascade test.)
 // ---------------------------------------------------------------------------
@@ -263,12 +263,12 @@ TEST_P(RecoveryTest, CreditBackpressureCrash) {
   // Put 2 stalled in the credit gate until the failover released put 1's
   // lease; the verdict must not leave the caller parked forever.
   EXPECT_GE(m.engine().counters().get("lapi.credit_stalls"), 1);
-  // One latch (and one peer_failed count), but each post-verdict put runs
-  // its own bounded ladder — the library keeps probing in case the peer
-  // restarts (reconnection rides on retransmission, see the stale-epoch
-  // scenario).
+  // One latch (and one peer_failed count) and one ladder: the put parked in
+  // the credit gate and the put after it fail at submit, since they address
+  // the incarnation the verdict is about (a send to a restarted life goes
+  // out, see the stale-epoch scenario).
   EXPECT_EQ(m.engine().counters().get("lapi.peer_failed"), 1);
-  EXPECT_EQ(m.engine().counters().get("lapi.retransmit_giveup"), 3);
+  EXPECT_EQ(m.engine().counters().get("lapi.retransmit_giveup"), 1);
   EXPECT_EQ(m.engine().counters().get("lapi.failed_ops"), 3);
 }
 
@@ -362,6 +362,62 @@ TEST_P(RecoveryTest, MplSendToDeadPeer) {
   EXPECT_EQ(recv_st, Status::kPeerFailed);
   EXPECT_EQ(comm_st, Status::kPeerFailed);
   EXPECT_TRUE(peer_flagged);
+  EXPECT_EQ(m.engine().counters().get("mpl.peer_failed"), 1);
+}
+
+// Scenario 6b: once MPL has declared a peer dead, a later send toward the
+// same incarnation completes at its submit: no seq, packet or timer, and the
+// failure is already in comm_status().
+TEST_P(RecoveryTest, MplSendToLatchedPeerFailsAtSubmit) {
+  net::Machine m(crash_machine(GetParam(), 2));
+  m.kill_node(1, microseconds(100));
+
+  bool latched = false;
+  bool done_at_once = false;
+  Status comm_st = Status::kUnknown;
+  Time issued = kNoTime;
+  Time returned = kNoTime;
+  std::int64_t pkts_before = -1;
+  std::int64_t pkts_after = -1;
+  std::int64_t rtx_before = -1;
+  std::int64_t rtx_after = -1;
+
+  ASSERT_EQ(m.run_spmd([&](net::Node& n) {
+    mpl::Config cfg;
+    cfg.retransmit_timeout = microseconds(200);
+    cfg.max_retries = 4;
+    mpl::Comm comm(n, cfg);
+    if (comm.rank() == 0) {
+      std::vector<std::byte> big(
+          static_cast<std::size_t>(comm.eager_limit() + 1), std::byte{0x42});
+      EXPECT_EQ(comm.send(1, 5, big), Status::kOk);  // its ladder latches
+      latched = comm.peer_failed(1);
+      pkts_before = m.fabric().packets_sent();
+      rtx_before = m.engine().counters().get("mpl.retransmits");
+      issued = m.engine().now();
+      std::vector<std::byte> small(64, std::byte{0x43});
+      const mpl::Request r = comm.isend(1, 6, small);
+      done_at_once = comm.test(r);
+      comm.wait(r);
+      EXPECT_EQ(comm.send(1, 6, small), Status::kOk);
+      returned = m.engine().now();
+      comm_st = comm.comm_status();
+      n.task().compute(milliseconds(50.0));  // anything armed would fire
+      pkts_after = m.fabric().packets_sent();
+      rtx_after = m.engine().counters().get("mpl.retransmits");
+    } else {
+      n.task().compute(milliseconds(60.0));
+      ADD_FAILURE() << "the dead task outlived its crash";
+    }
+    comm.term();
+  }), Status::kOk);
+
+  EXPECT_TRUE(latched);
+  EXPECT_TRUE(done_at_once);
+  EXPECT_EQ(returned, issued);  // both sends completed at their submit
+  EXPECT_EQ(comm_st, Status::kPeerFailed);
+  EXPECT_EQ(pkts_after, pkts_before);
+  EXPECT_EQ(rtx_after, rtx_before);
   EXPECT_EQ(m.engine().counters().get("mpl.peer_failed"), 1);
 }
 
