@@ -25,10 +25,10 @@ namespace {
 std::vector<double> protocol_curve(
     const std::vector<std::int64_t>& sizes,
     const splap::ga::bench::RawPutOpts& opts) {
-  std::vector<double> curve(sizes.size());
-  splap::benchx::parallel_sweep(sizes.size(), [&](std::size_t i) {
-    curve[i] = splap::ga::bench::raw_lapi_put_mb_s(sizes[i], opts);
-  });
+  std::vector<double> curve;
+  for (const std::int64_t b : sizes) {
+    curve.push_back(splap::ga::bench::raw_lapi_put_mb_s(b, opts));
+  }
   return curve;
 }
 
@@ -117,17 +117,12 @@ int main(int argc, char** argv) {
   std::vector<std::int64_t> sizes;
   for (std::int64_t b = 16; b <= (2 << 20); b *= 2) sizes.push_back(b);
 
-  // Every curve point is an independent deterministic simulation, so the
-  // sweep fans out across a worker pool; results land in index-keyed slots
-  // and the table below is bit-identical to a serial run.
-  std::vector<double> lapi_curve(sizes.size()), mpi_curve(sizes.size()),
-      mpi64_curve(sizes.size());
-  parallel_sweep(sizes.size(), [&](std::size_t i) {
-    const std::int64_t b = sizes[i];
-    lapi_curve[i] = fig2_lapi(b);
-    mpi_curve[i] = fig2_mpi(b, 4096);
-    mpi64_curve[i] = fig2_mpi(b, 65536);
-  });
+  std::vector<double> lapi_curve, mpi_curve, mpi64_curve;
+  for (const std::int64_t b : sizes) {
+    lapi_curve.push_back(fig2_lapi(b));
+    mpi_curve.push_back(fig2_mpi(b, 4096));
+    mpi64_curve.push_back(fig2_mpi(b, 65536));
+  }
 
   std::printf("\n=== Figure 2: one-way bandwidth (MB/s) ===\n");
   std::printf("reproduces: Shah et al., IPPS'98, Figure 2\n");

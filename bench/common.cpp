@@ -1,10 +1,5 @@
 #include "common.hpp"
 
-#include <atomic>
-#include <cstdlib>
-#include <exception>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 namespace splap::benchx {
@@ -249,47 +244,6 @@ void print_header(const std::string& title, const std::string& paper_ref) {
   std::printf("reproduces: %s\n", paper_ref.c_str());
   std::printf("%-44s %12s %12s %8s\n", "measurement", "measured", "paper",
               "ratio");
-}
-
-void parallel_sweep(std::size_t points,
-                    const std::function<void(std::size_t)>& point,
-                    unsigned threads) {
-  if (points == 0) return;
-  if (threads == 0) {
-    if (const char* env = std::getenv("SPLAP_SWEEP_THREADS")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v > 0) threads = static_cast<unsigned>(v);
-    }
-  }
-  if (threads == 0) threads = std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
-  if (threads > points) threads = static_cast<unsigned>(points);
-
-  if (threads == 1) {
-    for (std::size_t i = 0; i < points; ++i) point(i);
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= points) return;
-      try {
-        point(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 void print_row(const std::string& label, double measured, double paper,

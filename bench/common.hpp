@@ -4,9 +4,7 @@
 // src/ga/bench_harness.hpp, shared with the calibration tests.)
 #pragma once
 
-#include <cstddef>
 #include <cstdio>
-#include <functional>
 #include <string>
 
 #include "ga/bench_harness.hpp"
@@ -46,19 +44,5 @@ inline double fig2_mpi(std::int64_t bytes, std::int64_t eager_limit) {
 void print_header(const std::string& title, const std::string& paper_ref);
 void print_row(const std::string& label, double measured, double paper,
                const char* unit);
-
-/// Run `point(i)` for every i in [0, points) across a pool of worker
-/// threads (threads == 0 picks one per hardware thread, capped at the point
-/// count; SPLAP_SWEEP_THREADS=N overrides, N=1 forces serial).
-///
-/// Every sweep point is an independent deterministic simulation — its own
-/// Machine, its own fixed RNG seed — so workers share nothing and the
-/// callback writes its result into a caller-owned slot keyed by index. The
-/// output is therefore bit-identical to a serial sweep; only wall clock
-/// changes. The first exception thrown by a point is rethrown in the caller
-/// after all workers have drained.
-void parallel_sweep(std::size_t points,
-                    const std::function<void(std::size_t)>& point,
-                    unsigned threads = 0);
 
 }  // namespace splap::benchx

@@ -13,7 +13,8 @@
 #              Status-discard — plus the analyzer's own fixture self-tests
 #   tidy       clang-tidy over src/ (skipped with a notice when the host has
 #              no clang-tidy; the curated check set lives in .clang-tidy)
-#   asan       ASan+UBSan build + full ctest
+#   asan       ASan+UBSan build + full ctest, compiled with warnings as
+#              errors
 #   chaos      the fault-injection harness under ASan+UBSan (the code most
 #              likely to touch freed records or stale buffers)
 #   overload   the flow-control overload harness (bounded-RX incast,
@@ -38,13 +39,9 @@
 #              scatter-direct assembly, FakeWire exactly-once under loss and
 #              corruption, and the GA putv/getv wiring — run optimized,
 #              under ASan+UBSan, and under SPLAP_AUDIT
-#   tsan       ThreadSanitizer over the engine's TSan fiber hooks
-#              (sim_engine_test) and the only genuinely-concurrent code, the
-#              parallel sweep driver (bench_fig2_bandwidth with
-#              SPLAP_SWEEP_THREADS=4, machines and their fibers on four OS
-#              threads)
 #   audit      SPLAP_AUDIT build + full ctest: shadow-state lifecycle and
-#              virtual-time race auditing across every suite, chaos included
+#              virtual-time race auditing across every suite, chaos included;
+#              compiled with warnings as errors
 #   perf       wall-clock and benchmark checks kept out of tier-1: every
 #              seed pinned in perfbench/fingerprints.json re-run and matched
 #              (scripts/check_pins.py); the RSS-growth gate — lapi_msg and
@@ -71,12 +68,17 @@ want() {
 }
 
 # build_regime <optimized|asan|audit>: configure and build that
-# instrumentation regime's tree; BUILD_DIR names the tree afterwards.
+# instrumentation regime's tree; BUILD_DIR names the tree afterwards. The
+# asan and audit trees belong to this script alone, so they compile with
+# warnings as errors (CMAKE_COMPILE_WARNING_AS_ERROR, CMake 3.24 or later);
+# the tier-1 tree build/ keeps its plain configuration.
 build_regime() {
+  local werror=-DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   case "$1" in
     optimized) BUILD_DIR=build; set -- ;;
-    asan) BUILD_DIR=build-asan; set -- -DSPLAP_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug ;;
-    audit) BUILD_DIR=build-audit; set -- -DSPLAP_AUDIT=ON ;;
+    asan) BUILD_DIR=build-asan
+      set -- -DSPLAP_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug "${werror}" ;;
+    audit) BUILD_DIR=build-audit; set -- -DSPLAP_AUDIT=ON "${werror}" ;;
   esac
   cmake -B "${BUILD_DIR}" -S . "$@" >/dev/null
   cmake --build "${BUILD_DIR}" -j"$(nproc)"
@@ -162,14 +164,6 @@ want recovery && label_stage recovery optimized asan audit
 want scale && label_stage scale optimized asan audit
 want partition && label_stage partition optimized asan audit
 want rdma && label_stage rdma optimized asan audit
-
-if want tsan; then
-  echo "== thread-sanitized build (TSan) =="
-  cmake -B build-tsan -S . -DSPLAP_SANITIZE=thread -DCMAKE_BUILD_TYPE=Debug >/dev/null
-  cmake --build build-tsan -j"$(nproc)" --target sim_engine_test bench_fig2_bandwidth
-  ./build-tsan/tests/sim_engine_test
-  SPLAP_SWEEP_THREADS=4 ./build-tsan/bench/bench_fig2_bandwidth
-fi
 
 if want audit; then
   echo "== audit build (SPLAP_AUDIT) =="

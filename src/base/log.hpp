@@ -1,12 +1,10 @@
 // Minimal leveled logger for the simulator. Off (kWarn) by default so test
 // and benchmark output stays clean; tests that diagnose protocol behaviour
-// raise the level locally. Thread-safe: the sweep driver
-// (SPLAP_SWEEP_THREADS) runs machines on several OS threads that log at once.
+// raise the level locally.
 #pragma once
 
 #include <cstdarg>
 #include <cstdio>
-#include <mutex>
 
 #include "base/time.hpp"
 
@@ -28,8 +26,6 @@ class Log {
   [[gnu::format(printf, 3, 4)]]
   static void write(LogLevel lvl, Time when, const char* fmt, ...) {
     if (!enabled(lvl)) return;
-    static std::mutex mu;
-    std::lock_guard<std::mutex> lock(mu);
     if (when == kNoTime) {
       std::fprintf(stderr, "[%s] ", tag(lvl));
     } else {

@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -43,7 +42,6 @@ class ZeroSlabCache {
 
   /// A cached all-zero slab of exactly `bytes`, or nullptr.
   std::unique_ptr<std::byte[]> take(std::size_t bytes) {
-    std::lock_guard<std::mutex> lock(mu_);
     for (auto& e : slabs_) {
       if (e.bytes == bytes && e.slab != nullptr) {
         held_bytes_ -= bytes;
@@ -56,7 +54,6 @@ class ZeroSlabCache {
   /// Donate a slab the caller guarantees is entirely zero. The cache is
   /// bounded; beyond the cap the slab is simply freed.
   void put(std::size_t bytes, std::unique_ptr<std::byte[]> slab) {
-    std::lock_guard<std::mutex> lock(mu_);
     if (held_bytes_ + bytes > kMaxHeldBytes) return;  // slab freed here
     held_bytes_ += bytes;
     for (auto& e : slabs_) {
@@ -74,7 +71,6 @@ class ZeroSlabCache {
     std::size_t bytes;
     std::unique_ptr<std::byte[]> slab;
   };
-  std::mutex mu_;
   std::vector<Entry> slabs_;
   std::size_t held_bytes_ = 0;
 };

@@ -188,11 +188,6 @@ class Runtime {
   void lapi_put_acc(int id, const Patch& p, const double* buf,
                     std::int64_t ld, bool acc, double alpha);
   void lapi_get(int id, const Patch& p, double* buf, std::int64_t ld);
-  void lapi_rmc_put(ArrayState& st, int owner, const Patch& piece,
-                    const double* buf, std::int64_t ld, lapi::Counter& org);
-  void lapi_rmc_get(ArrayState& st, int owner, const Patch& piece,
-                    double* buf, std::int64_t ld, lapi::Counter& org,
-                    int& expected);
   void lapi_scatter(int id, std::span<const double> v,
                     std::span<const std::int64_t> i,
                     std::span<const std::int64_t> j);

@@ -6,7 +6,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <mutex>
+#include <memory>
 
 #include "base/log.hpp"
 
@@ -24,11 +24,11 @@ struct BarrierPulse {
 
 // ---------------------------------------------------------------------------
 // Universe: per-machine context registry (the out-of-band bootstrap channel
-// the PSSP job-start infrastructure provides on the real SP).
+// the PSSP job-start infrastructure provides on the real SP), kept in the
+// machine's LAPI client-state slot.
 // ---------------------------------------------------------------------------
 
 struct Context::Universe {
-  net::Machine* machine = nullptr;
   std::vector<Context*> ctxs;
   int attached = 0;
 
@@ -39,49 +39,30 @@ struct Context::Universe {
   };
   std::vector<Slot> slots;
 
-  // splap-lint: allow(os-sync): guards the out-of-band bootstrap registry
-  static std::mutex& mu() {
-    // splap-lint: allow(os-sync): PSSP job-start stand-in, not simulated state
-    static std::mutex m;
-    return m;
-  }
-  // splap-lint: allow(pointer-key): lookup/erase-only registry under mu()
-  static std::map<net::Machine*, std::unique_ptr<Universe>>& all() {
-    // splap-lint: allow(pointer-key): never iterated; key order unobservable
-    static std::map<net::Machine*, std::unique_ptr<Universe>> m;
-    return m;
-  }
-
   static Universe& of(net::Machine& machine) {
-    // splap-lint: allow(os-sync): bootstrap registry access, trace-neutral
-    std::lock_guard<std::mutex> lock(mu());
-    auto& u = all()[&machine];
-    if (!u) {
-      u = std::make_unique<Universe>();
-      u->machine = &machine;
+    std::shared_ptr<void>& state = machine.client_state(net::Client::kLapi);
+    if (state == nullptr) {
+      auto u = std::make_shared<Universe>();
       u->ctxs.resize(static_cast<std::size_t>(machine.tasks()), nullptr);
+      state = std::move(u);
     }
-    return *u;
+    return *static_cast<Universe*>(state.get());
   }
 
-  // detach may erase this machine's entry from the process-wide registry,
-  // which machines on other threads (SPLAP_SWEEP_THREADS) share, so attach
-  // and detach take the same out-of-band bootstrap mutex as of().
   void attach(Context* c) {
-    // splap-lint: allow(os-sync): bootstrap registry access, trace-neutral
-    std::lock_guard<std::mutex> lock(mu());
     auto& slot = ctxs[static_cast<std::size_t>(c->task_id())];
     SPLAP_REQUIRE(slot == nullptr, "duplicate LAPI_Init on a task");
     slot = c;
     ++attached;
   }
 
+  // The last detach frees the registry, so a LAPI_Init after every task has
+  // left (a whole-job restart) starts a fresh address exchange.
   void detach(Context* c) {
-    // splap-lint: allow(os-sync): bootstrap registry access, trace-neutral
-    std::lock_guard<std::mutex> lock(mu());
     ctxs[static_cast<std::size_t>(c->task_id())] = nullptr;
     if (--attached == 0) {
-      all().erase(machine);  // self-destructs; do not touch *this after
+      // Self-destructs; do not touch *this after.
+      c->node_.machine().client_state(net::Client::kLapi).reset();
     }
   }
 };

@@ -68,7 +68,6 @@ class ProgressEngine {
   void enter_library();
   void exit_library();
   Time call_entry_cost() const;
-  int in_library() const { return in_library_; }
 
   // --- deferred protocol effects -------------------------------------------
   /// Schedule a near-future protocol effect (counter bump, ack emission,

@@ -135,10 +135,6 @@ class Fabric : public Delivery {
   int rx_high_water(int node) const {
     return rx_hwm_[static_cast<std::size_t>(node)];
   }
-  /// Current adapter RX queue occupancy at `node`.
-  int rx_occupancy(int node) const {
-    return rx_count_[static_cast<std::size_t>(node)];
-  }
 
   /// Corruption injection armed (protocol layers use this to decide whether
   /// to stamp/verify end-to-end payload checksums).

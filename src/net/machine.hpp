@@ -179,11 +179,22 @@ class Machine {
   /// calls LAPI_Init while peers retransmit at it).
   void allow_dead_letters() { allow_dead_letters_ = true; }
 
+  /// The job-wide state a protocol library keeps for `client` across all of
+  /// this machine's tasks, opaque to the machine: the out-of-band channel
+  /// the SP's job-start service gives each job (LAPI keeps its address
+  /// exchange and membership registry here). Empty until the library fills
+  /// it; the library resets it when its last task detaches.
+  std::shared_ptr<void>& client_state(Client client) {
+    return client_state_[static_cast<std::size_t>(client)];
+  }
+
  private:
   sim::Engine engine_;
   Fabric fabric_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::int64_t> incarnations_;
+  std::array<std::shared_ptr<void>, static_cast<std::size_t>(Client::kCount)>
+      client_state_{};
   /// Any crash scheduled on this machine so far (disables the healthy-run
   /// dead-letter assertion).
   bool crash_planned_ = false;

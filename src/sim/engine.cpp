@@ -1,6 +1,5 @@
 #include "sim/engine.hpp"
 
-#include <pthread.h>
 #include <sys/mman.h>
 #include <unistd.h>
 
@@ -19,10 +18,6 @@
 #define SPLAP_ASAN_FIBERS 1
 #include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
-#endif
-#if defined(__SANITIZE_THREAD__) || __has_feature(thread_sanitizer)
-#define SPLAP_TSAN_FIBERS 1
-#include <sanitizer/tsan_interface.h>
 #endif
 
 #if !defined(__x86_64__)
@@ -135,7 +130,9 @@ struct SwitchFrame {
 };
 static_assert(sizeof(SwitchFrame) == 64, "splap_fiber_switch pops 64 bytes");
 
-thread_local Actor* tls_current_actor = nullptr;
+/// The actor whose fiber runs now; null on the engine's own stack. The
+/// process runs one fiber at a time, on its one OS thread.
+Actor* current_actor = nullptr;
 
 /// Thrown into a suspended actor when the engine tears it down, so its stack
 /// unwinds cleanly (RAII still runs). Never escapes Actor::run_body.
@@ -146,24 +143,13 @@ std::size_t page_bytes() {
   return v;
 }
 
-/// The default pthread stack size (RLIMIT_STACK, 8 MB on common Linux
-/// hosts): an actor gets the same stack a thread would, so deep GA frames fit.
-std::size_t default_stack_bytes() {
-  static const std::size_t v = [] {
-    std::size_t bytes = 8u << 20;
-    pthread_attr_t attr;
-    if (pthread_attr_init(&attr) == 0) {
-      (void)pthread_attr_getstacksize(&attr, &bytes);
-      (void)pthread_attr_destroy(&attr);
-    }
-    const std::size_t page = page_bytes();
-    return (bytes + page - 1) / page * page;
-  }();
-  return v;
-}
+/// Every actor's stack, guard page excluded: 8 MiB, what a Linux thread
+/// gets under the usual `ulimit -s` of 8192 KB, so deep GA frames fit. A
+/// whole number of pages, whatever the host's RLIMIT_STACK.
+constexpr std::size_t kStackBytes = std::size_t{8} << 20;
 
-// Sanitizer fiber hooks: every switch tells ASan which stack it lands on and
-// TSan which fiber runs next. No-ops in uninstrumented builds.
+// Sanitizer fiber hooks: every switch tells ASan which stack it lands on.
+// No-ops in uninstrumented builds.
 #if defined(SPLAP_ASAN_FIBERS)
 void asan_start_switch(void** fake_stack, const void* lo, std::size_t bytes) {
   __sanitizer_start_switch_fiber(fake_stack, lo, bytes);
@@ -191,18 +177,6 @@ void asan_finish_switch(void*, const void**, std::size_t*) {}
 void asan_unpoison(char*, std::size_t) {}
 #endif
 
-#if defined(SPLAP_TSAN_FIBERS)
-void* tsan_create_fiber() { return __tsan_create_fiber(0); }
-void tsan_destroy_fiber(void* fiber) { __tsan_destroy_fiber(fiber); }
-void* tsan_current_fiber() { return __tsan_get_current_fiber(); }
-void tsan_switch_to(void* fiber) { __tsan_switch_to_fiber(fiber, 0); }
-#else
-void* tsan_create_fiber() { return nullptr; }
-void tsan_destroy_fiber(void*) {}
-void* tsan_current_fiber() { return nullptr; }
-void tsan_switch_to(void*) {}
-#endif
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -217,7 +191,7 @@ Actor::Actor(Engine& engine, int id, int shard, std::string name,
       name_(std::move(name)),
       body_(std::move(body)) {
   const std::size_t guard = page_bytes();
-  const std::size_t bytes = guard + default_stack_bytes();
+  const std::size_t bytes = guard + kStackBytes;
   void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                  MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1,
                  0);
@@ -232,7 +206,6 @@ Actor::Actor(Engine& engine, int id, int shard, std::string name,
   stack_ = static_cast<char*>(p);
   stack_bytes_ = bytes;
   asan_unpoison(stack_ + guard, bytes - guard);
-  tsan_fiber_ = tsan_create_fiber();
   // The first grant "resumes" a frame at the top of the stack: this
   // thread's control words, zeroed registers except %rbx, which carries the
   // entry function, and a return into splap_fiber_entry.
@@ -250,20 +223,18 @@ void Actor::release_stack() {
   if (stack_ == nullptr) return;
   (void)munmap(stack_, stack_bytes_);
   stack_ = nullptr;
-  tsan_destroy_fiber(tsan_fiber_);
-  tsan_fiber_ = nullptr;
 }
 
 Time Actor::now() const { return engine_.now(); }
 
-Actor* Actor::current() { return tls_current_actor; }
+Actor* Actor::current() { return current_actor; }
 
 bool Actor::poisoned() const { return poisoned_; }
 
 void Actor::fiber_main() {
   // grant() made this actor current before switching here. No local with a
   // destructor may live in this frame: the final switch never returns.
-  Actor* const self = tls_current_actor;
+  Actor* const self = current_actor;
   asan_finish_switch(nullptr, &self->caller_stack_lo_,
                      &self->caller_stack_bytes_);
   self->block_reason_ = "running";
@@ -271,7 +242,6 @@ void Actor::fiber_main() {
   self->block_reason_ = "finished";
   self->finished_ = true;
   asan_start_switch(nullptr, self->caller_stack_lo_, self->caller_stack_bytes_);
-  tsan_switch_to(self->tsan_caller_);
   splap_fiber_switch(&self->fiber_sp_, self->caller_sp_);
   std::abort();  // nothing ever switches back to a finished fiber
 }
@@ -292,8 +262,8 @@ void Actor::run_body() {
 void Actor::grant() {
   if (finished_) return;
   SPLAP_REQUIRE(!running_, "grant() on an actor that is not descheduled");
-  Actor* const granter = tls_current_actor;
-  tls_current_actor = this;
+  Actor* const granter = current_actor;
+  current_actor = this;
   running_ = true;
   void* fake_stack = nullptr;
 #if defined(SPLAP_ASAN_FIBERS)
@@ -302,12 +272,10 @@ void Actor::grant() {
   asan_start_switch(&fake_stack, stack_ + page_bytes(),
                     stack_bytes_ - page_bytes());
 #endif
-  tsan_caller_ = tsan_current_fiber();
-  tsan_switch_to(tsan_fiber_);
   splap_fiber_switch(&caller_sp_, fiber_sp_);
   asan_finish_switch(fake_stack, nullptr, nullptr);
   running_ = false;
-  tls_current_actor = granter;
+  current_actor = granter;
   if (finished_) release_stack();
   if (failure_) {
     // Move, don't copy: exception_ptr copies touch an atomic refcount.
@@ -320,7 +288,6 @@ void Actor::grant() {
 void Actor::switch_out() {
   void* fake_stack = nullptr;
   asan_start_switch(&fake_stack, caller_stack_lo_, caller_stack_bytes_);
-  tsan_switch_to(tsan_caller_);
   splap_fiber_switch(&fiber_sp_, caller_sp_);
   asan_finish_switch(fake_stack, &caller_stack_lo_, &caller_stack_bytes_);
 }
@@ -439,7 +406,7 @@ void Engine::kill_shard(int shard) {
 }
 
 int Engine::context_shard() const {
-  const Actor* a = tls_current_actor;
+  const Actor* a = current_actor;
   if (a != nullptr) return a->shard();
   return dispatch_shard_;
 }

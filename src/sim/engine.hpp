@@ -106,9 +106,9 @@ class Actor {
     while (!pred()) suspend(why);
   }
 
-  /// The actor currently executing on this thread, or nullptr when the
-  /// caller is an event callback (handler context). LAPI uses this to
-  /// enforce "header handlers must not block".
+  /// The actor currently executing, or nullptr when the caller is an event
+  /// callback (handler context). LAPI uses this to enforce "header handlers
+  /// must not block".
   static Actor* current();
 
   bool finished() const { return finished_; }
@@ -164,11 +164,10 @@ class Actor {
   std::size_t stack_bytes_ = 0;
   void* fiber_sp_ = nullptr;   // resumes the actor
   void* caller_sp_ = nullptr;  // resumes whoever granted
-  // Sanitizer fiber bookkeeping; stays null in uninstrumented builds.
-  const void* caller_stack_lo_ = nullptr;  // ASan: the granter's stack
+  // ASan fiber bookkeeping (the granter's stack); stays null in
+  // uninstrumented builds.
+  const void* caller_stack_lo_ = nullptr;
   std::size_t caller_stack_bytes_ = 0;
-  void* tsan_fiber_ = nullptr;   // TSan: this fiber
-  void* tsan_caller_ = nullptr;  // TSan: the granter
 };
 
 class Engine {

@@ -88,39 +88,6 @@ class SimMutex {
   std::deque<std::variant<ActorWaiter, std::function<void()>>> waiters_;
 };
 
-/// Reusable barrier for a fixed set of actors (used by the collective layer
-/// and by tests; the communication libraries implement their *own* barriers
-/// with real messages — this one is a zero-cost test utility).
-class SimBarrier {
- public:
-  SimBarrier(Engine& engine, int parties)
-      : engine_(engine), parties_(parties) {
-    SPLAP_REQUIRE(parties > 0, "barrier needs at least one party");
-  }
-
-  void arrive_and_wait() {
-    Actor* a = Actor::current();
-    SPLAP_REQUIRE(a != nullptr, "SimBarrier requires an actor context");
-    const std::int64_t my_gen = generation_;
-    if (++arrived_ == parties_) {
-      arrived_ = 0;
-      ++generation_;
-      for (Actor* w : waiting_) engine_.wake(*w);
-      waiting_.clear();
-      return;
-    }
-    waiting_.push_back(a);
-    a->wait([&] { return generation_ != my_gen; }, "sim-barrier");
-  }
-
- private:
-  Engine& engine_;
-  const int parties_;
-  int arrived_ = 0;
-  std::int64_t generation_ = 0;
-  std::vector<Actor*> waiting_;
-};
-
 /// A set of actors blocked on some condition; the state owner wakes them all
 /// after mutating the state (waiters re-check their predicates).
 class WaitSet {

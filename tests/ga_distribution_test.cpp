@@ -62,7 +62,9 @@ TEST(DistributionTest, BlocksPartitionTheArray) {
       const int o = d.owner(i, j);
       EXPECT_TRUE(d.block(o).contains(i, j));
       for (int p = 0; p < n; ++p) {
-        if (p != o) EXPECT_FALSE(d.block(p).contains(i, j));
+        if (p != o) {
+          EXPECT_FALSE(d.block(p).contains(i, j));
+        }
       }
     }
   }

@@ -215,7 +215,7 @@ TEST(LapiBasicTest, BadParametersRejected) {
   net::Machine m(machine_config(2));
   ASSERT_EQ(run_lapi(m, [](Context& ctx) {
     Counter c;
-    std::byte buf[8];
+    std::byte buf[8] = {};
     // Target out of range.
     EXPECT_EQ(ctx.put(7, testing::as_bytes_of(buf, 8), buf, nullptr, &c, nullptr),
               Status::kBadParameter);

@@ -474,6 +474,39 @@ TEST_P(RecoveryTest, MplRepostAfterRestartReceivesTheNewLife) {
   EXPECT_EQ(m.incarnation(1), 1);
 }
 
+// ---------------------------------------------------------------------------
+// Scenario 8: the whole job crashes and restarts. The machine's LAPI
+// bootstrap registry dies with the last context that leaves it, so the new
+// lives exchange their own addresses instead of reading the dead lives'
+// table.
+// ---------------------------------------------------------------------------
+
+TEST_P(RecoveryTest, WholeJobRestartExchangesAddressesAfresh) {
+  net::Machine m(crash_machine(GetParam(), 2));
+  std::vector<int> first(2), second(2);
+  std::vector<std::vector<int*>> tables(2);
+  for (int node = 0; node < 2; ++node) {
+    m.kill_node(node, microseconds(100));
+    m.restart_node(node, milliseconds(1.0), [&](net::Node& n) {
+      lapi::Context ctx(n, fast_lapi_config());
+      tables[static_cast<std::size_t>(n.id())] = lapi::testing::exchange_ptrs(
+          ctx, &second[static_cast<std::size_t>(n.id())]);
+    });
+  }
+
+  ASSERT_EQ(m.run_spmd([&](net::Node& n) {
+    lapi::Context ctx(n, fast_lapi_config());
+    (void)lapi::testing::exchange_ptrs(
+        ctx, &first[static_cast<std::size_t>(n.id())]);
+    lapi::Counter never;
+    (void)ctx.waitcntr(never, 1);  // first life: dies waiting
+  }), Status::kOk);
+
+  for (const auto& table : tables) {
+    EXPECT_EQ(table, (std::vector<int*>{&second[0], &second[1]}));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RecoveryTest, ::testing::ValuesIn(kSeeds),
                          seed_name);
 

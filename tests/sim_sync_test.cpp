@@ -138,39 +138,6 @@ TEST(SimMutexTest, UnlockWithoutLockAborts) {
   EXPECT_DEATH(mu.unlock(), "unlock of an unlocked");
 }
 
-TEST(SimBarrierTest, AllPartiesMeet) {
-  Engine eng;
-  SimBarrier bar(eng, 4);
-  std::vector<Time> times;
-  for (int i = 0; i < 4; ++i) {
-    eng.spawn("t" + std::to_string(i), [&, i](Actor& self) {
-      self.compute(microseconds(10 * (i + 1)));
-      bar.arrive_and_wait();
-      times.push_back(self.now());
-    });
-  }
-  EXPECT_EQ(eng.run(), Status::kOk);
-  ASSERT_EQ(times.size(), 4u);
-  for (Time t : times) EXPECT_EQ(t, microseconds(40));  // slowest arrival
-}
-
-TEST(SimBarrierTest, ReusableAcrossGenerations) {
-  Engine eng;
-  SimBarrier bar(eng, 2);
-  std::vector<int> hits;
-  for (int i = 0; i < 2; ++i) {
-    eng.spawn("t" + std::to_string(i), [&, i](Actor& self) {
-      for (int round = 0; round < 3; ++round) {
-        self.compute(microseconds(i == 0 ? 5 : 9));
-        bar.arrive_and_wait();
-        if (i == 0) hits.push_back(round);
-      }
-    });
-  }
-  EXPECT_EQ(eng.run(), Status::kOk);
-  EXPECT_EQ(hits, (std::vector<int>{0, 1, 2}));
-}
-
 TEST(WaitSetTest, WakeAllWakesEveryWaiter) {
   Engine eng;
   WaitSet ws;

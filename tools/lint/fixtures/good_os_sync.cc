@@ -1,9 +1,6 @@
-// Fixture: nothing here may raise `os-sync` — concurrency above the engine
-// is virtual (actors suspend, events order effects), and the one legitimate
-// OS-sync use (out-of-band bootstrap state) carries a justified allow.
+// Fixture: nothing here may raise `os-sync` — concurrency is virtual (actors
+// suspend, events order effects).
 struct Actor {};
 void block_on(Actor& a);
 void handler(Actor& a) { block_on(a); }  // virtual blocking: fine
-// splap-lint: allow(os-sync): out-of-band bootstrap registry, not simulated state
-std::mutex boot_mu;
 int plain_cache = 0;

@@ -26,17 +26,6 @@ bool in_trace_dirs(std::string_view rel) {
          starts_with(rel, "src/lapi/") || starts_with(rel, "src/mpl/");
 }
 
-/// The layers above the engine: all concurrency there is virtual (actors
-/// suspend, events order effects). Only src/sim and src/base may use real
-/// locks, atomics or thread-locals. The engine owns no thread (its actors
-/// are fibers on the caller's thread); the only OS threads belong to the
-/// sweep driver, whose machine-per-thread runs share process-wide state
-/// (slab cache, log) and keep one current actor per thread.
-bool in_protocol_layers(std::string_view rel) {
-  return starts_with(rel, "src/net/") || starts_with(rel, "src/lapi/") ||
-         starts_with(rel, "src/mpl/") || starts_with(rel, "src/ga/");
-}
-
 struct Rule {
   const char* id;
   const char* summary;
@@ -100,16 +89,16 @@ const std::vector<Rule>& rule_table() {
         &scope_all});
     r.push_back(Rule{
         "os-sync",
-        "no OS threads/locks/atomics above the engine "
-        "(virtual concurrency only)",
-        "OS concurrency primitive in a protocol layer: code above the "
-        "engine runs on virtual time and synchronizes through actors and "
-        "events (one event loop orders cross-node effects "
-        "deterministically); real locks or atomics here would hide "
-        "nondeterminism from the trace gate",
+        "no OS threads/locks/atomics anywhere (one OS thread per process; "
+        "concurrency is virtual)",
+        "OS concurrency primitive: a process runs on one OS thread, every "
+        "actor is a fiber on it, and actors and events synchronize in "
+        "virtual time (one event loop orders cross-node effects "
+        "deterministically); a second thread, a lock or an atomic would "
+        "hide nondeterminism from the trace gate",
         std::regex(R"(\bstd::(?:recursive_|timed_|shared_)?mutex\b|\bstd::condition_variable(?:_any)?\b|\bstd::(?:jthread|thread)\b|\bstd::atomic\b|\bstd::atomic_\w+|\bthread_local\b|\bpthread_\w+)",
                    f),
-        &in_protocol_layers});
+        &scope_all});
     // Layering is no longer enforced here: the raw-line `layering-net` and
     // `layering-context` rules moved to splap-graph, whose include-closure
     // pass also catches indirect leaks through intermediate headers.

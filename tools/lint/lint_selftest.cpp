@@ -135,16 +135,20 @@ TEST(LintRules, OsSyncFiresOnEachBadLine) {
                           {"os-sync", 11}}));
 }
 
-TEST(LintRules, OsSyncQuietOnVirtualCodeAndBelowProtocolLayers) {
+TEST(LintRules, OsSyncQuietOnVirtualCodeAndFiresInEveryLayer) {
   EXPECT_TRUE(
       scan_source("src/lapi/x.cc", fixture("good_os_sync.cc")).empty());
-  // The engine owns no thread, but the sweep driver runs whole machines on
-  // OS threads that share process-wide state below the protocol layers: the
-  // same primitives are legal under src/sim and src/base.
-  EXPECT_TRUE(
-      scan_source("src/sim/x.cc", fixture("bad_os_sync.cc")).empty());
-  EXPECT_TRUE(
-      scan_source("src/base/x.cc", fixture("bad_os_sync.cc")).empty());
+  // A process runs on one OS thread, so the engine and the base layer get
+  // no exemption: every bad line (5-11) fires under src/sim and src/base.
+  std::multiset<std::pair<std::string, int>> every_bad_line;
+  for (int line = 5; line <= 11; ++line) {
+    every_bad_line.insert({"os-sync", line});
+  }
+  for (const char* path : {"src/sim/x.cc", "src/base/x.cc"}) {
+    EXPECT_EQ(fired(scan_source(path, fixture("bad_os_sync.cc"))),
+              every_bad_line)
+        << path;
+  }
 }
 
 // The layering-net / layering-context rules moved to splap-graph

@@ -14,10 +14,10 @@
 //   - the demux/pump entry points the progress engine drives directly
 //
 // Suspension roots: Actor::suspend, Actor::wait, Actor::compute,
-// SimMutex::lock, SimBarrier::arrive_and_wait. The may-suspend bit
-// propagates backward through the call graph to a fixed point; an
-// allow-annotated line cuts both the root match and every call edge on it
-// (the annotation for the dual-mode `if (Actor::current())` pattern).
+// SimMutex::lock. The may-suspend bit propagates backward through the call
+// graph to a fixed point; an allow-annotated line cuts both the root match
+// and every call edge on it (the annotation for the dual-mode
+// `if (Actor::current())` pattern).
 #include <algorithm>
 #include <deque>
 #include <map>
@@ -39,7 +39,6 @@ const std::vector<std::string>& suspend_roots() {
       "Actor::wait",
       "Actor::compute",
       "SimMutex::lock",
-      "SimBarrier::arrive_and_wait",
   };
   return r;
 }
