@@ -419,10 +419,7 @@ Time AssemblyEngine::process(net::Packet& pkt) {
                 progress_.engine().counters().bump("lapi.gather_direct");
               } else {
                 progress_.engine().counters().bump("lapi.gather_staged");
-                progress_.set_busy_until(
-                    std::max(progress_.engine().now(),
-                             progress_.busy_until()) +
-                    scm.copy_time(meta->total_len));
+                progress_.charge(scm.copy_time(meta->total_len));
               }
             } else {
               data = std::make_shared<std::vector<std::byte>>(

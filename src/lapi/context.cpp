@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <mutex>
 #include <utility>
 
 #include "base/log.hpp"
@@ -34,6 +33,7 @@ constexpr std::int64_t kMaxDataSz = std::int64_t{1} << 30;
 Context::Context(net::Node& node, Config config)
     : node_(node),
       config_(config),
+      gate_(node.machine(), node.id()),
       progress_(node.engine(), node.cost(), *this, config.interrupt_mode),
       send_(node.machine().fabric(), progress_, node.id(), config,
             node.machine().fabric().corruption_enabled()),
@@ -43,17 +43,8 @@ Context::Context(net::Node& node, Config config)
                 "LAPI_Init must run in a task (actor) context");
   ctr_put_ = engine().counters().handle("lapi.put");
   ctr_get_ = engine().counters().handle("lapi.get");
-  // Incarnation epochs: our own restart count, and the last incarnation of
-  // each peer we know about. The initial peer table comes from the machine
-  // (the PSSP job-start infrastructure knows which nodes restarted before
-  // this task initialised); later bumps are learned from packet stamps.
-  epoch_ = node_.machine().incarnation(task_id());
-  peer_epochs_.resize(static_cast<std::size_t>(num_tasks()));
-  for (int t = 0; t < num_tasks(); ++t) {
-    peer_epochs_[static_cast<std::size_t>(t)] = node_.machine().incarnation(t);
-  }
-  send_.set_epoch(epoch_);
-  assembly_.set_epoch(epoch_);
+  send_.set_epoch(gate_.epoch());
+  assembly_.set_epoch(gate_.epoch());
   send_.set_peer_failure_hook(
       [this](int peer, bool direct) { on_peer_failed(peer, direct); });
   node_.adapter().register_client(
@@ -88,15 +79,10 @@ void Context::term() {
       // message for good (peer already gone), the retransmit layer gives up
       // and we proceed.
       enter_library();
-      while (send_.outstanding_data() > 0 || send_.outstanding_gets() > 0 ||
-             progress_.pending_effects() > 0) {
-        if (send_.all_exhausted() && send_.outstanding_gets() == 0 &&
-            progress_.pending_effects() == 0) {
-          break;
-        }
-        progress_.waiters().add(*a);
-        a->suspend("lapi-term-quiesce");
-      }
+      progress_.quiesce(*a, "lapi-term-quiesce", [this] {
+        return send_.outstanding_gets() == 0 &&
+               (send_.outstanding_data() == 0 || send_.all_exhausted());
+      });
       exit_library();
       svc_->stop(*a);
       // Retire (not unregister): a duplicate ack elicited by our last
@@ -224,7 +210,7 @@ Status Context::send_message(PktKind kind, int target,
   // fixed here, at submit: if the target restarts mid-op, our retransmits
   // still carry the old stamp and the new life rejects them — the remote
   // addresses in this header belong to the incarnation that died.
-  hdr->epoch = epoch_;
+  hdr->epoch = gate_.epoch();
   hdr->dst_epoch = node_.machine().incarnation(target);
   send_.submit(kind, target, std::move(hdr), std::move(data), extra_call_cost);
   return Status::kOk;
@@ -409,19 +395,20 @@ Time Context::process_packet(net::Packet& pkt) {
     engine().counters().bump("lapi.malformed_drop");
     return cost().lapi_pkt_rx;
   }
-  if (m.dst_epoch != epoch_ || m.epoch != peer_epochs_[static_cast<std::size_t>(pkt.src)]) [[unlikely]] {
-    if (m.dst_epoch < epoch_ ||
-        m.epoch < peer_epochs_[static_cast<std::size_t>(pkt.src)]) {
+  switch (gate_.admit(pkt.src, m.epoch, m.dst_epoch)) {
+    case net::EpochGate::Verdict::kCurrent:
+      break;
+    case net::EpochGate::Verdict::kStale:
       // A packet from or for a dead incarnation: its header fields name
-      // buffers of a life that no longer exists. Reject at the door.
+      // buffers of a life that no longer exists.
       engine().counters().bump("lapi.stale_epoch");
       return cost().lapi_pkt_rx;
-    }
-    // The peer restarted (its stamp outran what we knew): adopt the new
-    // incarnation and wipe every trace of the old one before admitting.
-    peer_epochs_[static_cast<std::size_t>(pkt.src)] = m.epoch;
-    assembly_.forget_origin(pkt.src);
-    send_.on_peer_reborn(pkt.src, m.epoch);
+    case net::EpochGate::Verdict::kReborn:
+      // The gate adopted the new incarnation: wipe every trace of the old
+      // one before admitting.
+      assembly_.forget_origin(pkt.src);
+      send_.on_peer_reborn(pkt.src, m.epoch);
+      break;
   }
   send_.note_heard(pkt.src);
   switch (m.kind) {

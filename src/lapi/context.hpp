@@ -190,7 +190,7 @@ class Context : private ProgressEngine::Sink, private AssemblyEngine::Env {
   std::size_t suspect_queued() const { return send_.suspect_queued(); }
   /// This context's incarnation epoch (the restart count of its node at
   /// LAPI_Init, stamped into every packet it originates).
-  std::int64_t epoch() const { return epoch_; }
+  std::int64_t epoch() const { return gate_.epoch(); }
 
  private:
   struct Universe;  // per-machine registry (address exchange bootstrap)
@@ -246,11 +246,10 @@ class Context : private ProgressEngine::Sink, private AssemblyEngine::Env {
   net::Node& node_;
   Config config_;
   bool terminated_ = false;
-  /// Incarnation epoch of this context (node restart count at LAPI_Init)
-  /// and the last-adopted incarnation of every peer. Packets stamped for a
-  /// different pairing are rejected at process_packet (stale-epoch gate).
-  std::int64_t epoch_ = 0;
-  std::vector<std::int64_t> peer_epochs_;
+  /// This context's incarnation (its node's restart count at LAPI_Init) and
+  /// the last-adopted incarnation of every peer; process_packet admits
+  /// through it.
+  net::EpochGate gate_;
   // Per-operation counters, resolved once at init (put/get run per message).
   CounterSet::Handle ctr_put_;
   CounterSet::Handle ctr_get_;

@@ -12,13 +12,7 @@ namespace splap::lapi {
 void ProgressEngine::enter_library() {
   if (sim::Actor::current() == nullptr) return;  // handler context
   ++in_library_;
-  if (!interrupt_mode_ && !backlog_.empty()) {
-    while (!backlog_.empty()) {
-      rx_q_.push_back(std::move(backlog_.front()));
-      backlog_.pop_front();
-    }
-    schedule_pump(/*charge_interrupt=*/false);
-  }
+  if (!interrupt_mode_) release_backlog(/*charge_interrupt=*/false);
 }
 
 void ProgressEngine::exit_library() {
@@ -35,15 +29,18 @@ Time ProgressEngine::call_entry_cost() const {
 void ProgressEngine::set_interrupt_mode(bool on) {
   const bool was = interrupt_mode_;
   interrupt_mode_ = on;
-  if (!was && interrupt_mode_ && !backlog_.empty()) {
-    // Packets parked while polling-without-polls: the first interrupt after
-    // arming delivers them.
-    while (!backlog_.empty()) {
-      rx_q_.push_back(std::move(backlog_.front()));
-      backlog_.pop_front();
-    }
-    schedule_pump(/*charge_interrupt=*/true);
+  // Packets parked while polling-without-polls: the first interrupt after
+  // arming delivers them.
+  if (!was && interrupt_mode_) release_backlog(/*charge_interrupt=*/true);
+}
+
+void ProgressEngine::release_backlog(bool charge_interrupt) {
+  if (backlog_.empty()) return;
+  while (!backlog_.empty()) {
+    rx_q_.push_back(std::move(backlog_.front()));
+    backlog_.pop_front();
   }
+  schedule_pump(charge_interrupt);
 }
 
 // ---------------------------------------------------------------------------
@@ -59,6 +56,14 @@ void ProgressEngine::defer(Time at, std::function<void()> fn) {
         fn();
         notify();
       });
+}
+
+void ProgressEngine::quiesce(sim::Actor& actor, const char* why,
+                             const std::function<bool()>& settled) {
+  while (pending_effects_ > 0 || !settled()) {
+    waiters_.add(actor);
+    actor.suspend(why);
+  }
 }
 
 void ProgressEngine::bump(Counter* c, std::int64_t by) {
@@ -98,6 +103,11 @@ void ProgressEngine::on_delivery(net::Packet&& pkt) {
   // A task blocked inside a LAPI call polls the adapter even in interrupt
   // mode; the interrupt is only taken when the CPU is off running user code.
   schedule_pump(/*charge_interrupt=*/interrupt_mode_ && in_library_ == 0);
+}
+
+void ProgressEngine::enqueue(net::Packet&& pkt) {
+  rx_q_.push_back(std::move(pkt));
+  schedule_pump(/*charge_interrupt=*/false);
 }
 
 void ProgressEngine::schedule_pump(bool charge_interrupt) {

@@ -1,26 +1,29 @@
-// The LAPI progress engine: everything that decides WHEN protocol work runs
-// on a node, independent of what that work is.
+// The progress engine: everything that decides WHEN protocol work runs on
+// a node, independent of what that work is. lapi::Context and mpl::Comm
+// each own one and implement its Sink.
 //
 // Owns the dispatcher timeline of Section 2.1 / 5.3.1:
-//   - packet admission (on_delivery): interrupt mode pumps on arrival,
-//     charged the interrupt cost only when the dispatcher was idle and its
-//     post-drain polling window has expired; polling mode parks packets in a
-//     backlog until the task re-enters the library;
+//   - packet admission: on_delivery is LAPI's rule (interrupt mode pumps on
+//     arrival, charged the interrupt cost only when the dispatcher was idle
+//     and its post-drain polling window has expired; polling mode parks
+//     packets in a backlog until the task re-enters the library); enqueue
+//     has no rule, for MPL's protocol thread, which always progresses;
 //   - the pump loop, which serializes packet processing on the dispatcher's
 //     busy_until_ timeline and hands each packet to the Sink (the protocol
-//     demultiplexer above);
+//     demultiplexer above); charge() queues handler work behind it;
 //   - library entry/exit bookkeeping (polling progress + the warm-call cost
 //     model);
 //   - deferred protocol effects (counter bumps, ack emission, assembly
-//     completion) that are counted so term() can drain them, and guarded by
-//     the context-lifetime token so teardown cancels them;
-//   - the wait set that blocking calls (waitcntr/fence/term) park on.
+//     completion) that are counted so term() can drain them (quiesce), and
+//     guarded by the lifetime token so teardown cancels them;
+//   - the wait set that blocking calls park on.
 //
 // Invariant owned here: a deferred effect either runs before the owning
-// context invalidates the alive token, or never — there is no window where
+// library invalidates the alive token, or never — there is no window where
 // an effect touches freed protocol state.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -56,6 +59,8 @@ class ProgressEngine {
 
   // --- packet admission / pump ---------------------------------------------
   void on_delivery(net::Packet&& pkt);
+  /// Admit with no arrival rule: no interrupt charge, no polling backlog.
+  void enqueue(net::Packet&& pkt);
   void schedule_pump(bool charge_interrupt);
   bool progress_allowed() const { return interrupt_mode_ || in_library_ > 0; }
 
@@ -76,6 +81,10 @@ class ProgressEngine {
   /// peer (e.g. an unsent ack leaves its retransmit loop spinning).
   void defer(Time at, std::function<void()> fn);
   int pending_effects() const { return pending_effects_; }
+  /// Park `actor` until `settled()` holds and no deferred effect is pending
+  /// (the term() drain of both libraries).
+  void quiesce(sim::Actor& actor, const char* why,
+               const std::function<bool()>& settled);
 
   // --- waiters / counters --------------------------------------------------
   void notify() { waiters_.wake_all(engine_); }
@@ -90,6 +99,11 @@ class ProgressEngine {
   void bump_peer_failed(Counter* c);
 
   // --- dispatcher timeline (shared with the transport layers) --------------
+  /// Queue `d` behind the dispatcher's current work; returns when it ends.
+  Time charge(Time d) {
+    busy_until_ = std::max(engine_.now(), busy_until_) + d;
+    return busy_until_;
+  }
   Time busy_until() const { return busy_until_; }
   void set_busy_until(Time t) { busy_until_ = t; }
   bool pipelined() const { return pipelined_; }
@@ -105,6 +119,8 @@ class ProgressEngine {
 
  private:
   void pump();
+  /// Move the polling backlog into the pump queue and schedule the pump.
+  void release_backlog(bool charge_interrupt);
 
   sim::Engine& engine_;
   const CostModel& cost_;

@@ -193,7 +193,7 @@ void SendEngine::submit(PktKind kind, int target,
     }
     progress_.enter_library();
     // splap-graph: allow(blocking-reachability): inside the Actor::current()
-    // branch — handler-context callers charge busy_until_ in the else arm.
+    // branch — handler-context callers charge the dispatcher in the else arm.
     a->compute(progress_.call_entry_cost() + extra_call_cost + cm.lapi_pkt_tx +
                copy_in_call);
     inject_at = engine.now();
@@ -207,9 +207,7 @@ void SendEngine::submit(PktKind kind, int target,
   } else {
     // Handler/dispatcher context: the send is part of the dispatcher's
     // current work and queues behind it.
-    inject_at = std::max(engine.now(), progress_.busy_until()) +
-                cm.lapi_pkt_tx + copy_in_call;
-    progress_.set_busy_until(inject_at);
+    inject_at = progress_.charge(cm.lapi_pkt_tx + copy_in_call);
     // A handler must not block: an over-window send is queued per peer and
     // started by drain_credit_waitq when credits return.
     park_for_credits = flow && !admits();
@@ -372,9 +370,7 @@ void SendEngine::drain_credit_waitq(PeerState& p) {
     const std::int64_t id = it->first;
     const std::int64_t len =
         rec.data ? static_cast<std::int64_t>(rec.data->size()) : 0;
-    const Time inject_at =
-        std::max(engine.now(), progress_.busy_until()) + cm.lapi_pkt_tx;
-    progress_.set_busy_until(inject_at);
+    const Time inject_at = progress_.charge(cm.lapi_pkt_tx);
     rec.sent_at = inject_at;
     if (inject_at <= engine.now()) {
       transmit_packets(rec);
@@ -863,9 +859,7 @@ void SendEngine::heal_peer(int peer, PeerState& p) {
     // Restart as any handler-context send: behind the dispatcher's current
     // work. Deliberately NOT charged against the retry budget — the
     // quarantine was the detector's choice, not the wire's failure.
-    const Time inject_at =
-        std::max(engine.now(), progress_.busy_until()) + cm.lapi_pkt_tx;
-    progress_.set_busy_until(inject_at);
+    const Time inject_at = progress_.charge(cm.lapi_pkt_tx);
     rec.sent_at = inject_at;
     if (inject_at <= engine.now()) {
       if (!rec.data_acked) {

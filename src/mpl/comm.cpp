@@ -22,20 +22,19 @@ constexpr Time kBackoffClamp = milliseconds(250);
 // ---------------------------------------------------------------------------
 
 Comm::Comm(net::Node& node, Config config)
-    : node_(node), config_(config), wire_(node.machine().fabric()) {
+    : node_(node),
+      config_(config),
+      wire_(node.machine().fabric()),
+      // MPL never calls on_delivery, enter_library or set_interrupt_mode, so
+      // the interrupt mode passed here has no effect.
+      progress_(node.engine(), node.cost(), *this, /*interrupt_mode=*/true),
+      gate_(node.machine(), node.id()) {
   SPLAP_REQUIRE(sim::Actor::current() != nullptr,
                 "Comm must be constructed in a task context");
   SPLAP_REQUIRE(config_.eager_limit >= 0 && config_.eager_limit <= 65536,
                 "MP_EAGER_LIMIT out of range (max 64K, Section 4)");
   next_send_seq_.assign(static_cast<std::size_t>(size()), 0);
   next_admit_.assign(static_cast<std::size_t>(size()), 0);
-  // Incarnation epochs, as in the LAPI stack: our node's restart count and
-  // the last-known incarnation of each peer (both 0 in healthy runs).
-  epoch_ = node_.machine().incarnation(rank());
-  peer_epochs_.resize(static_cast<std::size_t>(size()));
-  for (int t = 0; t < size(); ++t) {
-    peer_epochs_[static_cast<std::size_t>(t)] = node_.machine().incarnation(t);
-  }
   // The shared reliable-delivery core, configured like the fixed-timeout
   // LAPI policy but with the backoff clamp armed: MPL has no adaptive
   // estimation, so without the clamp the per-retry doubling was unbounded.
@@ -46,11 +45,13 @@ Comm::Comm(net::Node& node, Config config)
   policy.rto_max = kBackoffClamp;
   channel_ = std::make_unique<lapi::ReliableChannel>(
       engine(), static_cast<lapi::ReliableChannel::Sender&>(*this), policy,
-      "mpl", /*jitter_seed=*/0, std::weak_ptr<char>(alive_));
+      "mpl", /*jitter_seed=*/0, progress_.alive());
   ctr_sends_ = engine().counters().handle("mpl.sends");
   ctr_pkts_rx_ = engine().counters().handle("mpl.pkts_rx");
-  node_.adapter().register_client(
-      net::Client::kMpl, [this](net::Packet&& p) { on_delivery(std::move(p)); });
+  node_.adapter().register_client(net::Client::kMpl, [this](net::Packet&& p) {
+    ctr_pkts_rx_.bump();
+    progress_.enqueue(std::move(p));
+  });
 }
 
 Comm::~Comm() { term(); }
@@ -61,15 +62,12 @@ void Comm::term() {
   SPLAP_REQUIRE(a != nullptr, "Comm::term must run in a task context");
   if (!a->poisoned()) {
     try {
-      while (!sends_.empty() || pending_effects_ > 0) {
-        bool gave_up = true;
-        for (const auto& [id, req] : sends_) {
-          if (req.retry.retries < config_.max_retries) gave_up = false;
-        }
-        if (gave_up && pending_effects_ == 0) break;
-        waiters_.add(*a);
-        a->suspend("mpl-term-quiesce");
-      }
+      // Every send record settled, or exhausted its retries.
+      progress_.quiesce(*a, "mpl-term-quiesce", [this] {
+        return std::all_of(sends_.begin(), sends_.end(), [this](const auto& s) {
+          return s.second.retry.retries >= config_.max_retries;
+        });
+      });
     } catch (...) {
       if (!a->poisoned()) throw;
       // The crash landed mid-quiesce: ~Comm is noexcept, so the engine's
@@ -86,18 +84,7 @@ void Comm::term() {
     node_.adapter().retire_client(net::Client::kMpl);
   }
   terminated_ = true;
-  alive_.reset();
-}
-
-void Comm::defer(Time at, std::function<void()> fn) {
-  ++pending_effects_;
-  engine().schedule_at(
-      at, [this, w = std::weak_ptr<char>(alive_), fn = std::move(fn)] {
-        if (w.expired()) return;
-        --pending_effects_;
-        fn();
-        notify();
-      });
+  progress_.invalidate();
 }
 
 // ---------------------------------------------------------------------------
@@ -136,15 +123,13 @@ Request Comm::start_send(int dst, int tag, std::span<const std::byte> data) {
   if (sim::Actor* a = sim::Actor::current()) {
     // splap-graph: allow(blocking-reachability): guarded by Actor::current()
     // — handler-context callers take the else branch, which charges
-    // busy_until_ instead of suspending.
+    // the dispatcher instead of suspending.
     a->compute(cm.mpi_send + (eager ? cm.copy_time(len) : 0));
     inject_at = engine().now();
   } else {
     // Handler context: the send queues behind whatever the protocol thread
     // is already doing (e.g. the pack copy an rcvncall handler charged).
-    inject_at = std::max(engine().now(), busy_until_) + cm.mpi_send +
-                (eager ? cm.copy_time(len) : 0);
-    busy_until_ = inject_at;
+    inject_at = progress_.charge(cm.mpi_send + (eager ? cm.copy_time(len) : 0));
   }
 
   seq_to_send_[{dst, req.seq}] = id;
@@ -155,7 +140,7 @@ Request Comm::start_send(int dst, int tag, std::span<const std::byte> data) {
   if (inject_at <= engine().now()) {
     transmit_send(sends_.at(id), id);
   } else {
-    defer(inject_at, [this, id] {
+    progress_.defer(inject_at, [this, id] {
       auto it = sends_.find(id);
       if (it != sends_.end()) transmit_send(it->second, id);
     });
@@ -182,7 +167,7 @@ void Comm::transmit_send(const SendReq& req, std::int64_t /*id*/) {
     m->seq = req.seq;
     m->tag = req.tag;
     m->total_len = static_cast<std::int64_t>(req.data->size());
-    m->epoch = epoch_;
+    m->epoch = gate_.epoch();
     m->dst_epoch = req.dst_epoch;
     p.meta = std::move(m);
     wire_.transmit(std::move(p));
@@ -200,7 +185,7 @@ void Comm::transmit_send(const SendReq& req, std::int64_t /*id*/) {
   m->seq = req.seq;
   m->tag = req.tag;
   m->total_len = len;
-  m->epoch = epoch_;
+  m->epoch = gate_.epoch();
   m->dst_epoch = req.dst_epoch;
   first.meta = std::move(m);
   const std::int64_t chunk0 = std::min(len, cm.mpi_payload());
@@ -228,7 +213,7 @@ void Comm::transmit_data(const SendReq& req) {
     m->kind = MplKind::kData;
     m->seq = req.seq;
     m->offset = offset;
-    m->epoch = epoch_;
+    m->epoch = gate_.epoch();
     m->dst_epoch = req.dst_epoch;
     p.meta = std::move(m);
     p.data.assign(req.data->begin() + offset, req.data->begin() + offset + chunk);
@@ -275,7 +260,7 @@ void Comm::give_up(std::int64_t id) {
   if (comm_status_ != Status::kPeerFailed) {
     comm_status_ = Status::kResourceExhausted;
   }
-  notify();
+  progress_.notify();
 }
 
 void Comm::fail_peer(int peer, std::int64_t dead_epoch) {
@@ -310,7 +295,7 @@ void Comm::fail_peer(int peer, std::int64_t dead_epoch) {
     }
   }
   comm_status_ = Status::kPeerFailed;
-  notify();
+  progress_.notify();
 }
 
 void Comm::on_peer_reborn(int peer, std::int64_t new_epoch) {
@@ -358,7 +343,7 @@ void Comm::on_peer_reborn(int peer, std::int64_t new_epoch) {
   std::erase_if(handler_q_,
                 [peer](const auto& key) { return key.first == peer; });
   next_admit_[static_cast<std::size_t>(peer)] = 0;
-  notify();
+  progress_.notify();
 }
 
 void Comm::send_ctl(int dst, MplKind kind, std::int64_t seq, Time when) {
@@ -371,16 +356,17 @@ void Comm::send_ctl(int dst, MplKind kind, std::int64_t seq, Time when) {
   m->kind = kind;
   m->seq = seq;
   // Control replies address the peer incarnation currently admitted (which
-  // the gate in process() keeps equal to the incoming packet's stamp).
-  m->epoch = epoch_;
-  m->dst_epoch = peer_epochs_[static_cast<std::size_t>(dst)];
+  // the gate in process_packet() keeps equal to the incoming packet's stamp).
+  m->epoch = gate_.epoch();
+  m->dst_epoch = gate_.peer(dst);
   p.meta = std::move(m);
   if (when <= engine().now()) {
     wire_.transmit(std::move(p));
   } else {
-    defer(when, [this, sp = std::make_shared<net::Packet>(std::move(p))] {
-      wire_.transmit(std::move(*sp));
-    });
+    progress_.defer(
+        when, [this, sp = std::make_shared<net::Packet>(std::move(p))] {
+          wire_.transmit(std::move(*sp));
+        });
   }
 }
 
@@ -420,10 +406,10 @@ Request Comm::irecv(int src, int tag, std::span<std::byte> buf,
   Time charge = cost().mpi_post + match_scan();
   if (a != nullptr) {
     // splap-graph: allow(blocking-reachability): `a` is Actor::current() —
-    // handler-context posts charge busy_until_ in the else arm instead.
+    // handler-context posts charge the dispatcher in the else arm instead.
     a->compute(charge);
   } else {
-    busy_until_ = std::max(busy_until_, engine().now()) + charge;
+    progress_.charge(charge);
   }
   return id;
 }
@@ -459,14 +445,14 @@ void Comm::block_on(Request r) {
       [&] {
         if (auto it = postings_.find(r); it != postings_.end()) {
           if (!it->second.done && !it->second.failed) {
-            waiters_.add(*a);
+            progress_.waiters().add(*a);
             return false;
           }
           return true;
         }
         if (auto it = sends_.find(r); it != sends_.end()) {
           if (it->second.state == SState::kWaitCts) {
-            waiters_.add(*a);
+            progress_.waiters().add(*a);
             return false;
           }
           return true;  // buffered / streaming: user buffer is reusable
@@ -502,18 +488,14 @@ void Comm::unlock_interrupts() {
   if (--intr_lock_depth_ == 0) schedule_handler_pump();
 }
 
-void Comm::handler_charge(Time d) {
-  busy_until_ = std::max(busy_until_, engine().now()) + d;
-}
+void Comm::handler_charge(Time d) { progress_.charge(d); }
 
 void Comm::deliver_rcvncall(int src, std::int64_t seq, const Registration&) {
   // Handlers run single-threaded on the protocol thread, strictly FIFO
   // (messages were already admitted in order; the handler queue must not
   // reorder them). The interrupt + AIX handler-context creation is charged
   // per delivery (Section 5.2's latency story).
-  const CostModel& cm = cost();
-  busy_until_ = std::max(engine().now(), busy_until_) + cm.interrupt_cost +
-                cm.rcvncall_context;
+  progress_.charge(cost().interrupt_cost + cost().rcvncall_context);
   engine().counters().bump("mpl.rcvncalls");
   handler_q_.emplace_back(src, seq);
   schedule_handler_pump();
@@ -522,7 +504,7 @@ void Comm::deliver_rcvncall(int src, std::int64_t seq, const Registration&) {
 void Comm::schedule_handler_pump() {
   if (handler_pump_scheduled_ || handler_q_.empty()) return;
   handler_pump_scheduled_ = true;
-  defer(std::max(engine().now(), busy_until_), [this] {
+  progress_.defer(std::max(engine().now(), progress_.busy_until()), [this] {
     handler_pump_scheduled_ = false;
     pump_handlers();
   });
@@ -531,7 +513,7 @@ void Comm::schedule_handler_pump() {
 void Comm::pump_handlers() {
   if (handler_q_.empty()) return;
   if (intr_lock_depth_ > 0) return;  // lockrnc: unlock re-schedules
-  if (engine().now() < busy_until_) {
+  if (engine().now() < progress_.busy_until()) {
     schedule_handler_pump();  // earlier work charged after we were scheduled
     return;
   }
@@ -555,34 +537,6 @@ void Comm::pump_handlers() {
 // ---------------------------------------------------------------------------
 // Receive path
 // ---------------------------------------------------------------------------
-
-void Comm::on_delivery(net::Packet&& pkt) {
-  ctr_pkts_rx_.bump();
-  rx_q_.push_back(std::move(pkt));
-  schedule_pump();
-}
-
-void Comm::schedule_pump() {
-  if (pump_scheduled_) return;
-  pump_scheduled_ = true;
-  defer(std::max(engine().now(), busy_until_), [this] {
-    pump_scheduled_ = false;
-    pump();
-  });
-}
-
-void Comm::pump() {
-  if (rx_q_.empty()) return;
-  if (engine().now() < busy_until_) {
-    schedule_pump();
-    return;
-  }
-  net::Packet pkt = std::move(rx_q_.front());
-  rx_q_.pop_front();
-  const Time c = process(pkt);
-  busy_until_ = engine().now() + c;
-  if (!rx_q_.empty()) schedule_pump();
-}
 
 Time Comm::ingest(InMsg& msg, std::int64_t offset,
                   std::span<const std::byte> bytes) {
@@ -608,23 +562,23 @@ Time Comm::ingest(InMsg& msg, std::int64_t offset,
   return cost().copy_time(len);
 }
 
-Time Comm::process(net::Packet& pkt) {
+Time Comm::process_packet(net::Packet& pkt) {
   const CostModel& cm = cost();
   const MplMeta& m = pkt.meta_as<MplMeta>();
   const int src = pkt.src;
   // Incarnation gate (no-op in healthy runs: everything is epoch 0). A
-  // packet from or for a dead incarnation is rejected; a stamp newer than
-  // the admitted one means the peer restarted — adopt it and wipe the old
-  // life's state first.
-  if (m.dst_epoch != epoch_ ||
-      m.epoch != peer_epochs_[static_cast<std::size_t>(src)]) [[unlikely]] {
-    if (m.dst_epoch < epoch_ ||
-        m.epoch < peer_epochs_[static_cast<std::size_t>(src)]) {
+  // packet from or for a dead incarnation is rejected; a peer that
+  // restarted has its new incarnation adopted and its old life's state
+  // wiped first.
+  switch (gate_.admit(src, m.epoch, m.dst_epoch)) {
+    case net::EpochGate::Verdict::kCurrent:
+      break;
+    case net::EpochGate::Verdict::kStale:
       engine().counters().bump("mpl.stale_epoch");
       return cm.mpi_pkt_rx;
-    }
-    peer_epochs_[static_cast<std::size_t>(src)] = m.epoch;
-    on_peer_reborn(src, m.epoch);
+    case net::EpochGate::Verdict::kReborn:
+      on_peer_reborn(src, m.epoch);
+      break;
   }
   const auto key = std::pair<int, std::int64_t>{src, m.seq};
 
@@ -639,8 +593,8 @@ Time Comm::process(net::Packet& pkt) {
     send_ctl(src, MplKind::kAck, m.seq, engine().now() + cost_so_far);
     if (msg.matched && !msg.delivered) {
       msg.delivered = true;
-      defer(engine().now() + cost_so_far,
-            [this, src, seq = m.seq] { complete_message(src, seq); });
+      progress_.defer(engine().now() + cost_so_far,
+                      [this, src, seq = m.seq] { complete_message(src, seq); });
     }
   };
 
@@ -718,7 +672,7 @@ Time Comm::process(net::Packet& pkt) {
       auto it = seq_to_send_.find({src, m.seq});
       if (it == seq_to_send_.end()) return c;  // stale duplicate
       const Request rid = it->second;
-      defer(engine().now() + c + cm.mpi_rndv_restart, [this, rid] {
+      progress_.defer(engine().now() + c + cm.mpi_rndv_restart, [this, rid] {
         auto jt = sends_.find(rid);
         if (jt == sends_.end()) return;
         SendReq& req = jt->second;
@@ -735,7 +689,7 @@ Time Comm::process(net::Packet& pkt) {
 
     case MplKind::kAck: {
       const Time c = cm.mpi_pkt_rx;
-      defer(engine().now() + c, [this, src, seq = m.seq] {
+      progress_.defer(engine().now() + c, [this, src, seq = m.seq] {
         auto it = seq_to_send_.find({src, seq});
         if (it == seq_to_send_.end()) return;
         const Request rid = it->second;
@@ -744,7 +698,7 @@ Time Comm::process(net::Packet& pkt) {
           jt->second.acked = true;
           jt->second.state = SState::kDone;
 #ifdef SPLAP_AUDIT
-          send_ledger_.remove(&jt->second, "Comm::process/kAck");
+          send_ledger_.remove(&jt->second, "Comm::process_packet/kAck");
 #endif
           sends_.erase(jt);
         }
@@ -760,7 +714,7 @@ Time Comm::process(net::Packet& pkt) {
 Comm::Posting* Comm::take_posting(int src, int tag) {
   for (auto it = posting_order_.begin(); it != posting_order_.end();) {
     auto pit = postings_.find(*it);
-    if (pit == postings_.end()) {
+    if (pit == postings_.end() || pit->second.failed) {
       it = posting_order_.erase(it);
       continue;
     }
@@ -916,7 +870,7 @@ void Comm::complete_message(int src, std::int64_t seq) {
                 "matched message has no posting");
   pit->second.done = true;
   in_.erase(key);  // delivered: see forgotten()
-  notify();
+  progress_.notify();
 }
 
 // ---------------------------------------------------------------------------

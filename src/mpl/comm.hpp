@@ -36,11 +36,11 @@
 #include "base/audit.hpp"
 #include "base/cost_model.hpp"
 #include "base/status.hpp"
+#include "lapi/progress.hpp"
 #include "lapi/reliable.hpp"
 #include "mpl/types.hpp"
 #include "net/delivery.hpp"
 #include "net/machine.hpp"
-#include "sim/sync.hpp"
 
 namespace splap::mpl {
 
@@ -62,11 +62,14 @@ struct MplMeta {
   std::int64_t dst_epoch = 0;
 };
 
-/// The communicator shares LAPI's reliable-delivery core: retransmit timers,
-/// exponential backoff (clamped at 250 ms) and stale-timer
-/// suppression come from lapi::ReliableChannel — MPL is a sibling client of
-/// the same transport machinery, not a second implementation of it.
-class Comm : private lapi::ReliableChannel::Sender {
+/// MPL is a sibling client of LAPI's transport core, not a second copy of
+/// it. lapi::ProgressEngine is its dispatcher (pump, busy timeline, deferred
+/// effects, waiters, lifetime token, term quiesce; packets enter through
+/// enqueue, as MPL has no interrupt/polling rule), lapi::ReliableChannel its
+/// retransmit timers (backoff clamped at 250 ms), net::EpochGate its
+/// incarnation gate. What stays here is MPL's protocol.
+class Comm : private lapi::ReliableChannel::Sender,
+             private lapi::ProgressEngine::Sink {
  public:
   explicit Comm(net::Node& node, Config config = {});
   ~Comm();
@@ -242,10 +245,8 @@ class Comm : private lapi::ReliableChannel::Sender {
   }
 
   // Receive path.
-  void on_delivery(net::Packet&& pkt);
-  void schedule_pump();
-  void pump();
-  Time process(net::Packet& pkt);
+  /// ProgressEngine::Sink: one received packet; returns its CPU charge.
+  Time process_packet(net::Packet& pkt) override;
   Time ingest(InMsg& msg, std::int64_t offset,
               std::span<const std::byte> bytes);
   /// Advance the per-source in-order cursors, match admitted messages
@@ -258,7 +259,8 @@ class Comm : private lapi::ReliableChannel::Sender {
   void admit(int src, std::int64_t seq, InMsg& msg, Time& charged);
   /// The first posting in post order that accepts a message from `src`
   /// with `tag`, taken out of posting_order_ (the caller binds it), or
-  /// nullptr. Drops the ids of postings recv() has erased on the way.
+  /// nullptr. Drops the ids of postings recv() has erased, and of failed
+  /// ones, on the way.
   Posting* take_posting(int src, int tag);
   /// Bind a message to a posting (CTS for rendezvous, stage copy for
   /// late-matched eager). Returns the CPU charged.
@@ -268,16 +270,14 @@ class Comm : private lapi::ReliableChannel::Sender {
   void schedule_handler_pump();
   void pump_handlers();
 
-  void notify() { waiters_.wake_all(engine()); }
-
   net::Node& node_;
   Config config_;
   /// Narrow injection interface into the fabric (the transmit side only;
   /// receives arrive through the adapter registration).
   net::Delivery& wire_;
   bool terminated_ = false;
-
-  void defer(Time at, std::function<void()> fn);
+  lapi::ProgressEngine progress_;
+  net::EpochGate gate_;
 
   std::int64_t next_req_ = 1;
   std::map<Request, SendReq> sends_;          // in-flight sends by request id
@@ -297,28 +297,17 @@ class Comm : private lapi::ReliableChannel::Sender {
   std::deque<std::pair<int, std::int64_t>> handler_q_;  // FIFO, interrupt level
   bool handler_pump_scheduled_ = false;
 
-  // Dispatcher timeline.
-  std::deque<net::Packet> rx_q_;
-  bool pump_scheduled_ = false;
-  Time busy_until_ = 0;
-  int pending_effects_ = 0;
-
   Status comm_status_ = Status::kOk;
 
-  /// Incarnation epochs (crash-stop recovery; all zero in healthy runs).
-  std::int64_t epoch_ = 0;
-  std::vector<std::int64_t> peer_epochs_;
   /// Peers declared dead, each with the newest incarnation the verdict
   /// covers.
   std::map<int, std::int64_t> failed_peers_;
 
-  sim::WaitSet waiters_;
-  std::shared_ptr<char> alive_ = std::make_shared<char>();
   // Per-send/per-packet counters, resolved once in the ctor.
   CounterSet::Handle ctr_sends_;
   CounterSet::Handle ctr_pkts_rx_;
-  /// Shared retransmit core (constructed after alive_, which guards its
-  /// timer events against a torn-down communicator).
+  /// Shared retransmit core (its timer events are guarded by progress_'s
+  /// lifetime token against a torn-down communicator).
   std::unique_ptr<lapi::ReliableChannel> channel_;
 #ifdef SPLAP_AUDIT
   /// Shadow ledger of live send records: a timer or ack touching a record

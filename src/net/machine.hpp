@@ -28,15 +28,21 @@ class Adapter {
   using ClientHandler = std::function<void(Packet&&)>;
 
   /// Register the protocol library that owns `client` packets on this node.
+  /// A retired slot may be taken over: that is safe between run_spmd phases,
+  /// because run_spmd drains every event between them. Within a single
+  /// phase a straggler of the old client would reach the new one.
   void register_client(Client client, ClientHandler handler) {
-    auto& slot = handlers_[static_cast<std::size_t>(client)];
-    SPLAP_REQUIRE(slot == nullptr, "client already registered on this node");
-    slot = std::move(handler);
+    const auto c = static_cast<std::size_t>(client);
+    SPLAP_REQUIRE(handlers_[c] == nullptr || retired_[c],
+                  "client already registered on this node");
+    handlers_[c] = std::move(handler);
+    retired_[c] = false;
   }
 
   void unregister_client(Client client) {
     handlers_[static_cast<std::size_t>(client)] = nullptr;
     overflow_handlers_[static_cast<std::size_t>(client)] = nullptr;
+    retired_[static_cast<std::size_t>(client)] = false;
   }
 
   /// Orderly protocol shutdown: the slot keeps absorbing straggler packets
@@ -50,6 +56,7 @@ class Adapter {
       ++absorbed_;
     };
     overflow_handlers_[static_cast<std::size_t>(client)] = nullptr;
+    retired_[static_cast<std::size_t>(client)] = true;
   }
 
   /// Straggler packets absorbed by retired client slots.
@@ -89,6 +96,7 @@ class Adapter {
       handlers_{};
   std::array<OverflowHandler, static_cast<std::size_t>(Client::kCount)>
       overflow_handlers_{};
+  std::array<bool, static_cast<std::size_t>(Client::kCount)> retired_{};
   std::int64_t dead_letters_ = 0;
   std::int64_t absorbed_ = 0;
 };
@@ -199,6 +207,49 @@ class Machine {
   /// dead-letter assertion).
   bool crash_planned_ = false;
   bool allow_dead_letters_ = false;
+};
+
+/// The incarnation gate at the door of a protocol library's receive path
+/// (LAPI and MPL hold one each): this task's own incarnation and the newest
+/// one admitted from each peer. Both start from the machine's table at
+/// library init (the job-start service knows which nodes restarted before
+/// this task initialised); later bumps are learned from packet stamps.
+class EpochGate {
+ public:
+  enum class Verdict {
+    kCurrent,  // both stamps match (every packet of a healthy run)
+    kStale,    // from or for a dead incarnation: reject at the door
+    kReborn,   // the sender restarted: adopted; wipe its old life first
+  };
+
+  EpochGate(const Machine& machine, int self)
+      : epoch_(machine.incarnation(self)) {
+    for (int t = 0; t < machine.tasks(); ++t) {
+      peers_.push_back(machine.incarnation(t));
+    }
+  }
+
+  std::int64_t epoch() const { return epoch_; }
+  /// What replies to `peer` address: its incarnation last admitted.
+  std::int64_t peer(int peer) const {
+    return peers_[static_cast<std::size_t>(peer)];
+  }
+
+  /// Judge a packet from `src` stamped with its sender's incarnation and
+  /// the destination incarnation it was addressed to.
+  Verdict admit(int src, std::int64_t epoch, std::int64_t dst_epoch) {
+    std::int64_t& known = peers_[static_cast<std::size_t>(src)];
+    if (dst_epoch == epoch_ && epoch == known) [[likely]] {
+      return Verdict::kCurrent;
+    }
+    if (dst_epoch < epoch_ || epoch < known) return Verdict::kStale;
+    known = epoch;
+    return Verdict::kReborn;
+  }
+
+ private:
+  std::int64_t epoch_;
+  std::vector<std::int64_t> peers_;
 };
 
 }  // namespace splap::net

@@ -57,6 +57,42 @@ TEST(IntegrationTest, LapiAndMpiCoexistInOneApplication) {
   EXPECT_EQ(lapi_cells[0], 4);
 }
 
+TEST(IntegrationTest, BothLibrariesInitialiseAgainInALaterPhase) {
+  // Each phase opens and closes a LAPI context and an MPL communicator on
+  // every node: the second phase registers over the slots the first one
+  // retired.
+  constexpr int kTasks = 3;
+  net::Machine m(machine_config(kTasks));
+  std::vector<std::int64_t> cells(kTasks, 0);
+  for (std::int64_t phase = 1; phase <= 2; ++phase) {
+    ASSERT_EQ(m.run_spmd([&](net::Node& n) {
+      const int me = n.id();
+      {
+        lapi::Context ctx(n);
+        std::vector<void*> tab(kTasks);
+        ctx.address_init(&cells[static_cast<std::size_t>(me)], tab);
+        const int right = (me + 1) % kTasks;
+        const std::int64_t v = phase * 10 + me;
+        ASSERT_EQ(ctx.put(right,
+                          std::span<const std::byte>(
+                              reinterpret_cast<const std::byte*>(&v), sizeof v),
+                          static_cast<std::byte*>(
+                              tab[static_cast<std::size_t>(right)]),
+                          nullptr, nullptr, nullptr),
+                  Status::kOk);
+        EXPECT_EQ(ctx.gfence(), Status::kOk);
+        ctx.term();
+      }
+      mpl::Comm comm(n);
+      comm.barrier();
+    }), Status::kOk);
+    for (int t = 0; t < kTasks; ++t) {
+      EXPECT_EQ(cells[static_cast<std::size_t>(t)],
+                phase * 10 + (t + kTasks - 1) % kTasks);
+    }
+  }
+}
+
 TEST(IntegrationTest, InterleavedTrafficKeepsClientsSeparate) {
   // Heavy concurrent traffic on both protocols between the same node pair;
   // each library's bytes must arrive intact (adapter demux under load).

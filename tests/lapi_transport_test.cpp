@@ -13,6 +13,10 @@
 // The same stack checks the corroboration rule for gossiped accrual
 // verdicts.
 //
+// Part C checks the ProgressEngine contract both libraries run on: deferred
+// effects and the lifetime token, the term() quiesce, and the two packet
+// entries (LAPI's arrival rule against MPL's rule-free enqueue).
+//
 // Deliberately does NOT include lapi/context.hpp: the layering lint forbids
 // the transport layers (and their tests) from seeing the facade.
 #include <gtest/gtest.h>
@@ -1242,6 +1246,96 @@ TEST(TransportZeroCopyTest, BelowThresholdStaysOnTheStagedPath) {
   f.expect_delivered(*src, dst);
   EXPECT_EQ(f.eng.counters().get("lapi.zero_copy_sends"), 0);
   EXPECT_EQ(f.eng.counters().get("lapi.scatter_direct"), 0);
+}
+
+// ===========================================================================
+// Part C: the ProgressEngine contract LAPI and MPL share
+// ===========================================================================
+
+/// A Sink that records when each packet reached it and charges a fixed cost.
+class RecordingSink final : public ProgressEngine::Sink {
+ public:
+  explicit RecordingSink(sim::Engine& eng) : eng_(eng) {}
+  std::vector<Time> seen;
+
+ private:
+  Time process_packet(net::Packet& /*pkt*/) override {
+    seen.push_back(eng_.now());
+    return microseconds(2);
+  }
+  sim::Engine& eng_;
+};
+
+TEST(ProgressContractTest, EffectDeferredBeforeInvalidateNeverRuns) {
+  sim::Engine eng;
+  const CostModel cm;
+  RecordingSink sink(eng);
+  ProgressEngine progress(eng, cm, sink, /*interrupt_mode=*/true);
+  bool before = false;
+  bool after = false;
+  progress.defer(microseconds(1), [&] { before = true; });
+  progress.defer(microseconds(5), [&] { after = true; });
+  eng.schedule_at(microseconds(3), [&] { progress.invalidate(); });
+  ASSERT_EQ(eng.run(), Status::kOk);
+  EXPECT_TRUE(before);
+  EXPECT_FALSE(after);  // deferred before invalidate(), due after it
+}
+
+TEST(ProgressContractTest, QuiesceWaitsForSettledAndForEveryEffect) {
+  sim::Engine eng;
+  const CostModel cm;
+  RecordingSink sink(eng);
+  ProgressEngine progress(eng, cm, sink, /*interrupt_mode=*/true);
+  bool settled = false;
+  std::vector<Time> returned;
+  auto settle_at = [&](Time t) {
+    eng.schedule_at(t, [&] {
+      settled = true;
+      progress.notify();
+    });
+  };
+  eng.spawn("task", [&](sim::Actor& a) {
+    // settled() holds first: quiesce still drains the pending effect.
+    progress.defer(microseconds(20), [] {});
+    settle_at(microseconds(10));
+    progress.quiesce(a, "test-quiesce", [&] { return settled; });
+    returned.push_back(eng.now());
+    EXPECT_EQ(progress.pending_effects(), 0);
+    // The effect drains first: quiesce still waits for settled().
+    settled = false;
+    progress.defer(microseconds(25), [] {});
+    settle_at(microseconds(40));
+    progress.quiesce(a, "test-quiesce", [&] { return settled; });
+    returned.push_back(eng.now());
+    EXPECT_EQ(progress.pending_effects(), 0);
+  });
+  ASSERT_EQ(eng.run(), Status::kOk);
+  EXPECT_EQ(returned, (std::vector<Time>{microseconds(20), microseconds(40)}));
+}
+
+TEST(ProgressContractTest, EnqueueHasNoArrivalRuleButOnDeliveryBacklogs) {
+  // Polling mode with the task outside the library: LAPI's rule makes no
+  // progress, while MPL's entry always does.
+  sim::Engine eng;
+  const CostModel cm;
+  RecordingSink sink(eng);
+  ProgressEngine progress(eng, cm, sink, /*interrupt_mode=*/false);
+  auto packet = [] {
+    net::Packet p;
+    p.src = 1;
+    p.dst = 0;
+    return p;
+  };
+  eng.schedule_at(microseconds(1), [&] { progress.enqueue(packet()); });
+  ASSERT_EQ(eng.run(), Status::kOk);
+  EXPECT_EQ(sink.seen, (std::vector<Time>{microseconds(1)}));
+  EXPECT_EQ(eng.counters().get("lapi.interrupts"), 0);
+  EXPECT_EQ(eng.counters().get("lapi.backlogged"), 0);
+
+  eng.schedule_at(microseconds(10), [&] { progress.on_delivery(packet()); });
+  ASSERT_EQ(eng.run(), Status::kOk);
+  EXPECT_EQ(sink.seen.size(), 1u);
+  EXPECT_EQ(eng.counters().get("lapi.backlogged"), 1);
 }
 
 }  // namespace

@@ -474,6 +474,58 @@ TEST_P(RecoveryTest, MplRepostAfterRestartReceivesTheNewLife) {
   EXPECT_EQ(m.incarnation(1), 1);
 }
 
+// Scenario 7b: a posting that failed with its peer's first life, left
+// registered (wait() does not retire a failed posting). The restarted peer's
+// message must skip it and go to the next posting that names it.
+TEST_P(RecoveryTest, MplFailedPostingLeavesTheNewLifeToTheRepost) {
+  net::Machine m(crash_machine(GetParam(), 2));
+  mpl::Config cfg;
+  cfg.retransmit_timeout = microseconds(200);
+  cfg.max_retries = 4;
+  constexpr int kTag = 8;
+  m.kill_node(1, microseconds(100));
+  m.restart_node(1, milliseconds(20.0), [&](net::Node& n) {
+    mpl::Comm comm(n, cfg);
+    const std::int32_t value = 42;
+    EXPECT_EQ(comm.send(0, kTag,
+                        std::span<const std::byte>(
+                            reinterpret_cast<const std::byte*>(&value),
+                            sizeof value)),
+              Status::kOk);
+    comm.term();
+  });
+
+  auto bytes_of = [](std::int32_t& v) {
+    return std::span<std::byte>(reinterpret_cast<std::byte*>(&v), sizeof v);
+  };
+  std::int32_t a = 0;
+  std::int32_t b = 0;
+  bool failed_at_once = false;
+  const Status run = m.run_spmd([&](net::Node& n) {
+    mpl::Comm comm(n, cfg);
+    if (comm.rank() == 0) {
+      const mpl::Request ra = comm.irecv(1, kTag, bytes_of(a));
+      std::vector<std::byte> big(
+          static_cast<std::size_t>(comm.eager_limit() + 1), std::byte{0x42});
+      EXPECT_EQ(comm.send(1, 5, big), Status::kOk);  // its ladder latches 1
+      const Time latched = m.engine().now();
+      comm.wait(ra);  // failed by the verdict
+      failed_at_once = m.engine().now() == latched;
+      n.task().compute(milliseconds(15.0));  // past the restart
+      comm.wait(comm.irecv(1, kTag, bytes_of(b)));
+    } else {
+      n.task().compute(milliseconds(60.0));
+      ADD_FAILURE() << "the first life outlived its crash";
+    }
+    comm.term();
+  });
+
+  EXPECT_EQ(run, Status::kOk);
+  EXPECT_TRUE(failed_at_once);
+  EXPECT_EQ(a, 0);
+  EXPECT_EQ(b, 42);
+}
+
 // ---------------------------------------------------------------------------
 // Scenario 8: the whole job crashes and restarts. The machine's LAPI
 // bootstrap registry dies with the last context that leaves it, so the new

@@ -6,3 +6,9 @@
 #include <ctime>       // BAD
 #include <sys/time.h>  // BAD
 #include <time.h>      // BAD
+#include <mutex>               // BAD
+#include <shared_mutex>        // BAD
+#include <thread>              // BAD
+#include <condition_variable>  // BAD
+#include <atomic>              // BAD
+#include <pthread.h>           // BAD

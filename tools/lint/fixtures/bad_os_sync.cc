@@ -1,6 +1,6 @@
-// Fixture: every line marked BAD must raise `os-sync`.
-#include <atomic>
-#include <mutex>
+// Fixture: every line marked BAD must raise `os-sync`. The headers these
+// constructs come from are left out: including them raises
+// `banned-include` (bad_banned_include.cc).
 
 std::mutex mu;                                 // BAD
 std::recursive_mutex rmu;                      // BAD

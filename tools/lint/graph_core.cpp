@@ -1020,7 +1020,10 @@ const std::vector<RuleInfo>& rules() {
 }
 
 std::vector<Violation> analyze(const std::vector<SourceFile>& files) {
-  const Model m = build_model(files);
+  return analyze(build_model(files));
+}
+
+std::vector<Violation> analyze(const Model& m) {
   std::vector<Violation> out = m.annotation_errors;
   for (auto&& v : check_blocking(m)) out.push_back(std::move(v));
   for (auto&& v : check_layering(m)) out.push_back(std::move(v));

@@ -151,6 +151,13 @@ const std::vector<RuleInfo>& rules();
 
 /// Run everything over a set of sources (annotation errors included).
 std::vector<Violation> analyze(const std::vector<SourceFile>& files);
+std::vector<Violation> analyze(const Model& m);
+
+/// blocking-reachability's proof roots (its explicit entry points and entry
+/// interfaces) that match nothing in `m`: a renamed root would otherwise
+/// drop out of the proof without a word. Run over the real tree only; the
+/// fixture mini-trees lack these names.
+std::vector<Violation> check_proof_roots(const Model& m);
 
 /// Load every C++ source under root/src (repo-relative paths).
 std::vector<SourceFile> load_tree(const std::filesystem::path& root);

@@ -39,7 +39,11 @@ int main(int argc, char** argv) {
                  root.string().c_str());
     return 2;
   }
-  const auto violations = splap::graph::analyze(sources);
+  const splap::graph::Model model = splap::graph::build_model(sources);
+  auto violations = splap::graph::analyze(model);
+  for (auto& v : splap::graph::check_proof_roots(model)) {
+    violations.push_back(std::move(v));
+  }
   for (const auto& v : violations) {
     std::fprintf(stderr, "%s:%d: [%s] %s\n", v.file.c_str(), v.line,
                  v.rule.c_str(), v.message.c_str());

@@ -252,6 +252,45 @@ TEST(GraphStatus, DiscardFiresOnceAndRespectsVoidAllowAndMixedOverloads) {
   EXPECT_NE(v[0].message.find("`op`"), std::string::npos);
 }
 
+TEST(GraphBlocking, StaleProofRootIsReported) {
+  // Every proof root is present except ProgressEngine::pump, renamed away:
+  // the check names it, and only it.
+  const std::vector<SourceFile> files = {{"src/lapi/roots.cpp", R"(
+namespace splap::lapi {
+class ProgressEngine {
+ public:
+  class Sink { public: virtual long process_packet(int pkt) = 0; };
+  void pump_all() { }
+};
+class ReliableChannel {
+ public:
+  class Sender { public: virtual void retransmit(long id) = 0; };
+};
+class AssemblyEngine {
+ public:
+  class Env { public: virtual void note_get_reply() = 0; };
+  long process(int pkt) { return pkt; }
+  void on_overflow(int pkt) { (void)pkt; }
+};
+class SendEngine {
+ public:
+  long on_ack(int pkt) { return pkt; }
+  long on_nack(int pkt) { return pkt; }
+  long on_credit(int pkt) { return pkt; }
+  long on_rmw_resp(int pkt) { return pkt; }
+  long on_probe(int pkt) { return pkt; }
+};
+}  // namespace splap::lapi
+)"}};
+  const std::vector<Violation> v = check_proof_roots(build_model(files));
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0].rule, "blocking-reachability");
+  EXPECT_NE(v[0].message.find("stale proof root: explicit entry "
+                              "`ProgressEngine::pump`"),
+            std::string::npos)
+      << v[0].message;
+}
+
 // ---------------------------------------------------------------------------
 // Allow-annotation contract
 // ---------------------------------------------------------------------------

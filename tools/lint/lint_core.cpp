@@ -65,8 +65,9 @@ const std::vector<Rule>& rule_table() {
         "banned-include",
         "headers that exist only to provide banned constructs",
         "banned include: this header's facilities are nondeterministic on "
-        "simulated paths (<random>/<chrono>/<ctime>)",
-        std::regex(R"(^\s*#\s*include\s*<(?:random|chrono|ctime|time\.h|sys/time\.h)>)",
+        "simulated paths (<random>/<chrono>/<ctime>) or are the threads, "
+        "locks and atomics that os-sync bans",
+        std::regex(R"(^\s*#\s*include\s*<(?:random|chrono|ctime|time\.h|sys/time\.h|mutex|shared_mutex|thread|condition_variable|atomic|pthread\.h)>)",
                    f),
         &scope_all});
     r.push_back(Rule{

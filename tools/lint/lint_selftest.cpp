@@ -80,7 +80,13 @@ TEST(LintRules, BannedIncludeFiresOnEachBadLine) {
                           {"banned-include", 5},
                           {"banned-include", 6},
                           {"banned-include", 7},
-                          {"banned-include", 8}}));
+                          {"banned-include", 8},
+                          {"banned-include", 9},
+                          {"banned-include", 10},
+                          {"banned-include", 11},
+                          {"banned-include", 12},
+                          {"banned-include", 13},
+                          {"banned-include", 14}}));
 }
 
 TEST(LintRules, BannedIncludeQuietOnLookalikes) {

@@ -300,6 +300,31 @@ std::string find_chain(const Model& m, const Graph& g, int entry) {
 
 }  // namespace
 
+std::vector<Violation> check_proof_roots(const Model& m) {
+  std::vector<Violation> out;
+  auto stale = [&](const std::string& root, const char* kind) {
+    out.push_back(Violation{
+        "tools/lint/rule_blocking.cpp", 0, kRule,
+        "stale proof root: " + std::string(kind) + " `" + root +
+            "` matches nothing under src/, so the paths it enters are no "
+            "longer proven; rename it here along with the code"});
+  };
+  for (const std::string& q : explicit_entries()) {
+    const bool found = std::any_of(m.fns.begin(), m.fns.end(), [&](auto& f) {
+      return !f.is_lambda && !in_sim(f) && qual_suffix(f.qual, q);
+    });
+    if (!found) stale(q, "explicit entry");
+  }
+  for (const std::string& iface : entry_interfaces()) {
+    const bool found =
+        std::any_of(m.classes.begin(), m.classes.end(), [&](auto& c) {
+          return qual_suffix(c.first, iface) && !c.second.pure_virtuals.empty();
+        });
+    if (!found) stale(iface, "entry interface");
+  }
+  return out;
+}
+
 std::vector<Violation> check_blocking(const Model& m) {
   std::vector<Violation> out;
   const Graph g = build_graph(m);
