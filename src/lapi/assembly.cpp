@@ -182,8 +182,13 @@ Time AssemblyEngine::process(net::Packet& pkt) {
                   static_cast<long long>(as.total));
       return 0;
     }
-    if (as.seen.count(offset) != 0) return 0;
-    as.seen[offset] = len;
+    if (as.seen.empty() || offset > as.seen.back()) {
+      as.seen.push_back(offset);
+    } else {
+      const auto at = std::lower_bound(as.seen.begin(), as.seen.end(), offset);
+      if (at != as.seen.end() && *at == offset) return 0;
+      as.seen.insert(at, offset);
+    }
     ++as.pkts_ingested;  // one distinct wire packet landed (credit grant)
     SPLAP_REQUIRE(as.buffer != nullptr, "assembly without a buffer");
     if (as.hdr != nullptr && as.hdr->strided &&
@@ -421,10 +426,10 @@ Time AssemblyEngine::process(net::Packet& pkt) {
                 progress_.engine().counters().bump("lapi.gather_staged");
                 progress_.charge(scm.copy_time(meta->total_len));
               }
-            } else {
-              data = std::make_shared<std::vector<std::byte>>(
-                  meta->src_addr, meta->src_addr + meta->total_len);
             }
+            // A contiguous reply carries no payload: the send engine bcopies
+            // an eager one and streams a larger one from src_addr, which
+            // stays pinned until the reply's data ack (the Get's tgt_cntr).
             const Status st =
                 env_.send_get_reply(origin, std::move(hdr), std::move(data));
             SPLAP_REQUIRE(st == Status::kOk, "get reply send failed");
@@ -562,6 +567,7 @@ void AssemblyEngine::finish_assembly(int origin, std::int64_t msg_id) {
   as.staged.clear();
   as.staged.shrink_to_fit();
   as.seen.clear();
+  as.seen.shrink_to_fit();
 }
 
 void AssemblyEngine::forget_origin(int origin) {

@@ -21,7 +21,8 @@
 //
 // Invariant owned here: user-visible delivery happens exactly once per
 // message — duplicates of any packet of a completed message are answered
-// with acks only, and a fragment ingests at most once (the seen map).
+// with acks only, and a fragment ingests at most once (the sorted vector of
+// ingested offsets, Assembly::seen).
 // Duplicate-suppression markers live only at or above the origin's mark
 // (plus markers whose completion handler has not run yet), so the state
 // held per origin is bounded by its unsettled window, not by its history.
@@ -143,7 +144,10 @@ class AssemblyEngine {
     /// Data packets that arrived before the header packet (out-of-order
     /// delivery): staged until the header handler supplies the buffer.
     std::vector<net::Packet> staged;
-    std::map<std::int64_t, std::int64_t> seen;  // offset -> len (dedup)
+    /// Offsets of the fragments ingested so far, ascending (dedup).
+    /// In-order arrival appends; a retransmit or reordered fragment is
+    /// looked up by binary search.
+    std::vector<std::int64_t> seen;
     /// Distinct wire packets of this message ingested so far (header packet
     /// counted once). This is the cumulative credit grant (ack_pkts) echoed
     /// on acks and kCredit updates; it survives completion shedding so

@@ -237,9 +237,9 @@ Status Context::put(int target, std::span<const std::byte> src,
   hdr->tgt_cntr = tgt_cntr;
   hdr->org_cntr = org_cntr;
   hdr->cmpl_cntr = cmpl_cntr;
-  auto data = std::make_shared<std::vector<std::byte>>(src.begin(), src.end());
-  return send_message(PktKind::kPutHdr, target, std::move(hdr),
-                      std::move(data), 0);
+  // No payload: the send engine bcopies an eager source and streams a
+  // larger one from this region.
+  return send_message(PktKind::kPutHdr, target, std::move(hdr), nullptr, 0);
 }
 
 Status Context::get(int target, std::int64_t len, const std::byte* tgt_addr,
@@ -292,9 +292,8 @@ Status Context::putv(int target, const StridedRegion& src,
   // scatter/gather engine streams straight from the user region), so the
   // gather charge belongs to the rendezvous path only.
   Time gather_cost = 0;
-  if (len > cost().lapi_bcopy_limit &&
-      send_.selector().classify(PktKind::kPutHdr, *hdr, len, target,
-                                cost()) != XferProtocol::kZeroCopy) {
+  if (send_.selector().classify(PktKind::kPutHdr, *hdr, len, target,
+                                cost()) == XferProtocol::kRendezvous) {
     gather_cost = cost().copy_time(len);
   }
   return send_message(PktKind::kPutHdr, target, std::move(hdr),

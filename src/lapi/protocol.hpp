@@ -109,8 +109,10 @@ struct WireMeta {
   /// the same ReliableChannel (acks/credits/NACKs unchanged).
   bool zero_copy = false;
   /// Origin user-buffer base of the transfer, for registration-cache keying
-  /// (the origin pins the region it sends from). Null when the payload has
-  /// no stable user-region identity (AM chunks, internal copies).
+  /// (the origin pins the region it sends from) and, for a contiguous Put or
+  /// Get reply, the region SendEngine sends total_len bytes from. Null when
+  /// the payload has no stable user-region identity (AM chunks, internal
+  /// copies).
   const std::byte* org_addr = nullptr;
 
   // kAmHdr: which handler, and the user header bytes (counted on the wire).

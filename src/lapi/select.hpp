@@ -2,14 +2,16 @@
 //
 // Every data-bearing LAPI message rides one of three protocols:
 //
-//   eager        len <= CostModel::lapi_bcopy_limit. The library bcopies the
-//                payload into its retransmit buffer during the call and the
-//                origin counter fires at injection (Section 5.3.1).
+//   eager        len <= CostModel::lapi_bcopy_limit. SendEngine::submit
+//                bcopies the payload into its retransmit buffer during the
+//                call and the origin counter fires at injection (Section
+//                5.3.1).
 //   rendezvous   larger messages stream zero-copy from the pinned user
-//                buffer through the store-and-forward packet path; the
-//                buffer is reusable (origin counter) only at the data ack,
-//                and the target dispatcher copies every packet out of the
-//                adapter (copy_time per fragment).
+//                buffer through the store-and-forward packet path: every
+//                (re)transmission reads the user buffer, so it is reusable
+//                (origin counter) only at the data ack, and the target
+//                dispatcher copies every packet out of the adapter
+//                (copy_time per fragment).
 //   zero-copy    Config::rdma_enabled and len >= Config::rdma_threshold:
 //                the origin registers (pins) the source and target regions
 //                with the adapter, data packets shrink to a steering-tag
@@ -51,7 +53,9 @@ struct XferDecision {
   Time pin_cost = 0;
   /// True when the user buffer is reusable at injection (eager bcopy, or a
   /// strided source gathered during the call): the origin counter fires
-  /// then. False = it fires at the data ack (SendRecord::org_pending).
+  /// then, and SendEngine::submit bcopies a source it was not handed a
+  /// payload for. False = the packets are cut from the user buffer and the
+  /// counter fires at the data ack (SendRecord::org_pending).
   bool org_at_injection = true;
 };
 

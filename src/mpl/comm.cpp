@@ -431,9 +431,13 @@ Status Comm::recv(int src, int tag, std::span<std::byte> buf, RecvStatus* st) {
 
 void Comm::wait(Request r) {
   block_on(r);
-  // A completed receive is over: retire its posting. A failed one stays
-  // registered (its matched message may still name it).
-  if (auto it = postings_.find(r); it != postings_.end() && it->second.done) {
+  // A completed receive is over, and so is a failed one no message was
+  // matched to: retire its posting. A failed posting that was matched stays
+  // registered — its bound message names it, and a completion deferred
+  // before the verdict may still land (complete_message requires it).
+  if (auto it = postings_.find(r);
+      it != postings_.end() &&
+      (it->second.done || (it->second.failed && !it->second.matched))) {
     postings_.erase(it);
   }
 }

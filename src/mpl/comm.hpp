@@ -95,7 +95,8 @@ class Comm : private lapi::ReliableChannel::Sender,
   Request irecv(int src, int tag, std::span<std::byte> buf,
                 RecvStatus* st = nullptr);
   /// Block until the request completes, then retire a completed receive's
-  /// posting. Requests are single-use.
+  /// posting, or a failed one that no message was matched to. Requests are
+  /// single-use.
   void wait(Request r);
   /// Nonblocking completion probe.
   bool test(Request r);

@@ -8,16 +8,55 @@
 // delivered message leaves in_, and wait() retires the posting it
 // completed. The bounds are the window the loops keep in flight plus a
 // small constant; without forgetting, each count grows with the loop.
+//
+// Bounded per-message memory, too: a rendezvous Put or Get reply streams
+// its packets from the pinned source, so in steady state no allocation is
+// the size of the message (a test-local global operator new records the
+// largest single request while armed).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "lapi/context.hpp"
 #include "mpl/comm.hpp"
 #include "net/machine.hpp"
+
+namespace {
+bool g_alloc_armed = false;
+std::size_t g_alloc_largest = 0;  // largest request while armed
+}  // namespace
+
+// Every non-aligned form is replaced, so each allocation and its release
+// stay a malloc/free pair (sanitizers check the pairing).
+void* operator new(std::size_t n) {
+  if (g_alloc_armed) g_alloc_largest = std::max(g_alloc_largest, n);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace splap {
 namespace {
@@ -201,6 +240,67 @@ TEST(BoundedStateTest, MplMessagesAndPostingsStayWithinTheWindow) {
     EXPECT_LE(hi_msgs[r], kWindow + kSlack);
     EXPECT_LE(hi_posts[r], kWindow + kSlack);
   }
+}
+
+TEST(BoundedStateTest, RendezvousTransfersAllocateNoMessageSizedBuffer) {
+  // A 1 MiB put and a 1 MiB get, each waited on its origin counter, after a
+  // warm-up pair has sized the pools and queues. The packets are cut from
+  // the source region, so no request comes near the message size; packet
+  // slabs are 32 KiB.
+  constexpr std::size_t kBig = std::size_t{1} << 20;
+  constexpr std::size_t kLimit = std::size_t{256} << 10;
+  net::Machine m(two_tasks(29));
+  std::vector<std::byte> src(kBig);
+  std::vector<std::byte> remote(kBig);
+  for (std::size_t i = 0; i < kBig; ++i) {
+    src[i] = static_cast<std::byte>(i % 251);
+    remote[i] = static_cast<std::byte>(i % 241);
+  }
+  std::vector<std::byte> landing(kBig);  // task 1's put target
+  std::vector<std::byte> local(kBig);    // task 0's get landing
+  std::size_t largest_put = kBig;
+  std::size_t largest_get = kBig;
+  lapi::Counter done;  // at task 1: the transfers are over
+
+  ASSERT_EQ(m.run_spmd([&](net::Node& n) {
+    lapi::Context ctx(n, lapi::Config{});
+    (void)ctx.gfence();
+    if (n.id() == 0) {
+      lapi::Counter org;
+      const auto put = [&] {
+        ASSERT_EQ(ctx.put(1, src, landing.data(), nullptr, &org, nullptr),
+                  Status::kOk);
+        ASSERT_EQ(ctx.waitcntr(org, 1), Status::kOk);
+      };
+      const auto get = [&] {
+        ASSERT_EQ(ctx.get(1, static_cast<std::int64_t>(kBig), remote.data(),
+                          local.data(), nullptr, &org),
+                  Status::kOk);
+        ASSERT_EQ(ctx.waitcntr(org, 1), Status::kOk);
+      };
+      const auto largest = [](const auto& op) {
+        g_alloc_largest = 0;
+        g_alloc_armed = true;
+        op();
+        g_alloc_armed = false;
+        return g_alloc_largest;
+      };
+      put();
+      get();
+      largest_put = largest(put);
+      largest_get = largest(get);
+      ASSERT_EQ(ctx.put(1, {}, landing.data(), &done, nullptr, nullptr),
+                Status::kOk);
+    } else {
+      ASSERT_EQ(ctx.waitcntr(done, 1), Status::kOk);
+    }
+    (void)ctx.gfence();
+  }), Status::kOk);
+
+  EXPECT_EQ(landing, src);
+  EXPECT_EQ(local, remote);
+  EXPECT_LT(largest_put, kLimit);
+  EXPECT_LT(largest_get, kLimit);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // address exchange.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -152,6 +153,34 @@ TEST(LapiBasicTest, LargeTransfersSpanManyPackets) {
         << "at offset " << i;
   }
   EXPECT_GT(m.fabric().packets_sent(), 200);
+}
+
+TEST(LapiBasicTest, EagerPutCopiesItsSourceBeforeReturning) {
+  // Up to lapi_bcopy_limit bytes are bcopied during the call (Section
+  // 5.3.1): the caller may overwrite the source the moment put() returns,
+  // before any counter fires, and the target still gets the original bytes.
+  // The first transmission is lost (0 -> 1 is cut for the first
+  // millisecond), so what lands is the retransmission, sent after the
+  // overwrite.
+  net::Machine::Config mc = machine_config(2);
+  mc.fabric.fault.partitions.push_back(
+      net::PartitionFault{0, 1, 0, milliseconds(1.0)});
+  net::Machine m(mc);
+  constexpr std::size_t kLen = 512;
+  std::vector<std::byte> tgt_buf(kLen);
+  ASSERT_EQ(run_lapi(m, [&](Context& ctx) {
+    if (ctx.task_id() == 0) {
+      ASSERT_LE(static_cast<std::int64_t>(kLen), ctx.cost().lapi_bcopy_limit);
+      std::vector<std::byte> src(kLen, std::byte{0x5A});
+      Counter cmpl;
+      ASSERT_EQ(ctx.put(1, src, tgt_buf.data(), nullptr, nullptr, &cmpl),
+                Status::kOk);
+      std::fill(src.begin(), src.end(), std::byte{0xA5});
+      EXPECT_EQ(ctx.waitcntr(cmpl, 1), Status::kOk);
+    }
+  }), Status::kOk);
+  EXPECT_EQ(tgt_buf, std::vector<std::byte>(kLen, std::byte{0x5A}));
+  EXPECT_GT(m.engine().counters().get("lapi.retransmits"), 0);
 }
 
 TEST(LapiBasicTest, ZeroLengthPutStillSignalsCounters) {

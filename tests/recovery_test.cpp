@@ -526,6 +526,46 @@ TEST_P(RecoveryTest, MplFailedPostingLeavesTheNewLifeToTheRepost) {
   EXPECT_EQ(b, 42);
 }
 
+// Scenario 7c: a receive naming a peer latched dead fails at its post, and
+// wait() retires the failed posting as it retires a completed one, so a
+// survivor that keeps posting toward the dead peer holds no state for it.
+TEST_P(RecoveryTest, MplWaitRetiresFailedPostings) {
+  net::Machine m(crash_machine(GetParam(), 2));
+  mpl::Config cfg;
+  cfg.retransmit_timeout = microseconds(200);
+  cfg.max_retries = 4;
+  constexpr int kTag = 8;
+  constexpr int kRounds = 100;
+  m.kill_node(1, microseconds(100));
+
+  bool latched = false;
+  std::size_t held = kRounds;
+  const Status run = m.run_spmd([&](net::Node& n) {
+    mpl::Comm comm(n, cfg);
+    if (comm.rank() == 0) {
+      std::vector<std::byte> big(
+          static_cast<std::size_t>(comm.eager_limit() + 1), std::byte{0x42});
+      EXPECT_EQ(comm.send(1, 5, big), Status::kOk);  // its ladder latches 1
+      latched = comm.peer_failed(1);
+      std::int32_t v = 0;
+      for (int i = 0; i < kRounds; ++i) {
+        comm.wait(comm.irecv(
+            1, kTag,
+            std::span<std::byte>(reinterpret_cast<std::byte*>(&v), sizeof v)));
+      }
+      held = comm.held_postings();
+    } else {
+      n.task().compute(milliseconds(60.0));
+      ADD_FAILURE() << "the dead task outlived its crash";
+    }
+    comm.term();
+  });
+
+  EXPECT_EQ(run, Status::kOk);
+  EXPECT_TRUE(latched);
+  EXPECT_EQ(held, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Scenario 8: the whole job crashes and restarts. The machine's LAPI
 // bootstrap registry dies with the last context that leaves it, so the new
