@@ -152,6 +152,12 @@ Status Context::gfence() {
   // GC this generation's pulses.
   barrier_got_.erase(barrier_got_.lower_bound({seq, 0}),
                      barrier_got_.upper_bound({seq, round}));
+  // Every task has passed its fence, so every Get aimed at this task has
+  // landed at its origin. A reply this task served during the barrier may
+  // still await its data ack, though, and a resend would read a region the
+  // caller may free once gfence returns (GA's destroy does): such a reply
+  // keeps a copy instead.
+  send_.own_streamed_payloads();
   if (degraded) return Status::kPeerFailed;
   return degraded_suspected ? Status::kPeerSuspected : Status::kOk;
 }

@@ -260,6 +260,46 @@ TEST_P(GaBasicTest, BrdcstAndGopSum) {
   }), Status::kOk);
 }
 
+TEST(GaLapiTest, DestroyRightAfterAGetSurvivesTheReplysLostAck) {
+  // Task 0 gets task 1's whole block (one contiguous rendezvous Get) and
+  // both tasks then destroy the array. Task 1's fence finds nothing
+  // outstanding, so it serves the reply from inside gfence's barrier,
+  // streaming it from the block. The reply's data ack is lost (0 -> 1 is
+  // cut around the time it is sent), so the reply is resent after destroy
+  // has freed the block: gfence must leave no record reading it. (A resend
+  // from the freed block is a heap-use-after-free under ASan.)
+  net::Machine::Config mc = machine_config(2);
+  mc.fabric.fault.partitions.push_back(
+      net::PartitionFault{0, 1, microseconds(425), microseconds(440)});
+  net::Machine m(mc);
+  const std::int64_t d1 = 64, d2 = 64;  // two 64x32 blocks of 16 KiB
+  std::int64_t resent_at_free = -1;
+  ASSERT_EQ(run_ga(m, ga_config(Transport::kLapi), [&](Runtime& rt) {
+    GlobalArray a = rt.create(d1, d2);
+    const Patch blk = a.block_of(1);
+    if (rt.me() == 1) {
+      for (std::int64_t k = 0; k < blk.elems(); ++k) a.access()[k] = 0.25 * k;
+    }
+    rt.sync();
+    if (rt.me() == 0) {
+      // Let task 1 enter destroy's barrier before the request arrives.
+      rt.node().task().compute(microseconds(100));
+      std::vector<double> got(static_cast<std::size_t>(blk.elems()), -1);
+      a.get(blk, got.data(), blk.rows());
+      for (std::int64_t k = 0; k < blk.elems(); ++k) {
+        ASSERT_DOUBLE_EQ(got[static_cast<std::size_t>(k)], 0.25 * k);
+      }
+    }
+    rt.destroy(a);
+    if (rt.me() == 1) {
+      resent_at_free = rt.engine().counters().get("lapi.retransmits");
+    }
+  }), Status::kOk);
+  EXPECT_EQ(m.engine().counters().get("fabric.partitioned"), 1);
+  EXPECT_EQ(resent_at_free, 0);
+  EXPECT_GT(m.engine().counters().get("lapi.retransmits"), 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(Transports, GaBasicTest,
                          ::testing::Values(Transport::kLapi, Transport::kMpl),
                          [](const ::testing::TestParamInfo<Transport>& info) {
